@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-fast lint-perfbudget bench registry-bench perfgate generate ci all trace-smoke fuzz-smoke chaos stealsweep stealsweep-smoke serve-smoke serve-soak
+.PHONY: build test race lint lint-fast lint-perfbudget bench registry-bench perfgate generate ci all trace-smoke fuzz-smoke chaos stealsweep stealsweep-smoke serve-smoke serve-soak perfbench-test
 
 all: build test lint
 
@@ -165,9 +165,16 @@ chaos:
 	$(GO) test ./internal/sched/ -race -count=1 -run 'TestChaosSeedSweep' -v \
 		-chaos.sweep=$(CHAOS_SWEEP)
 
+# perfbench (the repo's end-to-end benchmark) is its own module
+# (perfbench/go.mod, replacing gowool with this checkout), so the root
+# module's build and tests never compile it — yet it embeds
+# sched.Scheduler, calls sched.Register and reads Pool.Native.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # What .github/workflows/ci.yml runs: build, vet, woolvet, the tier-1
-# suite, and a short race pass over the scheduler protocols and the
-# registry conformance suite.
+# suite, a short race pass over the scheduler protocols and the
+# registry conformance suite, and the perfbench module's vet and tests.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -177,3 +184,4 @@ ci:
 		./internal/locksched/... ./internal/cilkstyle/... \
 		./internal/ompstyle/... ./internal/sim/... \
 		./internal/sched/... ./internal/serve/... ./internal/workloads/
+	$(MAKE) perfbench-test

@@ -204,6 +204,9 @@ type Worker struct {
 	stealAttempts atomic.Int64
 	// woolvet:atomic
 	steals atomic.Int64
+	// stealing brackets an idle steal attempt (see Pool.settle).
+	// woolvet:atomic
+	stealing atomic.Bool
 }
 
 // Index returns the worker index.
@@ -376,10 +379,24 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
+// settle waits, while no Run is in flight, until no idle worker is
+// inside a steal attempt. Idle workers neither attempt nor count
+// steals without a Run, so the counters then hold still: the
+// quiescent accessors settle first, which makes Stats and ResetStats
+// right after a Run exact.
+func (p *Pool) settle() {
+	for _, w := range p.workers[1:] {
+		for w.stealing.Load() && !p.running.Load() {
+			runtime.Gosched()
+		}
+	}
+}
+
 // Stats aggregates worker counters (quiescent pools only).
 //
 //woolvet:allow ownerprivate -- quiescent-pool accessor by contract
 func (p *Pool) Stats() Stats {
+	p.settle()
 	var s Stats
 	for _, w := range p.workers {
 		ws := w.stats
@@ -394,6 +411,7 @@ func (p *Pool) Stats() Stats {
 //
 //woolvet:allow ownerprivate -- quiescent-pool mutator by contract
 func (p *Pool) ResetStats() {
+	p.settle()
 	for _, w := range p.workers {
 		w.stats = Stats{}
 		w.stealAttempts.Store(0)
@@ -680,13 +698,20 @@ func (w *Worker) joinAcquire() (*Task, bool) {
 func (w *Worker) idleLoop() {
 	fails := 0
 	for !w.pool.shutdown.Load() && !w.pool.panicked.Load() {
-		v := w.pol.Choose(w.probe)
-		if w.trySteal(w.pool.workers[v], false) {
-			w.pol.Observe(v, true)
+		// Dekker with Pool.settle: announce the attempt, then check
+		// for a Run (with none in flight every deque is empty).
+		w.stealing.Store(true)
+		ok := false
+		if w.pool.running.Load() {
+			v := w.pol.Choose(w.probe)
+			ok = w.trySteal(w.pool.workers[v], false)
+			w.pol.Observe(v, ok)
+		}
+		w.stealing.Store(false)
+		if ok {
 			fails = 0
 			continue
 		}
-		w.pol.Observe(v, false)
 		fails++
 		switch {
 		case fails < 64:

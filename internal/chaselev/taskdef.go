@@ -38,16 +38,7 @@ func (d *TaskDef1) Spawn(w *Worker, a0 int64) {
 func (d *TaskDef1) Call(w *Worker, a0 int64) int64 { return d.fn(w, a0) }
 
 // Join joins with the most recently spawned task.
-func (d *TaskDef1) Join(w *Worker) int64 {
-	t, inline := w.joinAcquire()
-	if inline {
-		fn := t.fn
-		fn(w, t)
-	}
-	res := t.res
-	w.release(t)
-	return res
-}
+func (d *TaskDef1) Join(w *Worker) int64 { return w.join() }
 
 // TaskDef2 defines a task taking two int64 arguments.
 type TaskDef2 struct {
@@ -79,100 +70,7 @@ func (d *TaskDef2) Spawn(w *Worker, a0, a1 int64) {
 func (d *TaskDef2) Call(w *Worker, a0, a1 int64) int64 { return d.fn(w, a0, a1) }
 
 // Join joins with the most recently spawned task.
-func (d *TaskDef2) Join(w *Worker) int64 {
-	t, inline := w.joinAcquire()
-	if inline {
-		fn := t.fn
-		fn(w, t)
-	}
-	res := t.res
-	w.release(t)
-	return res
-}
-
-// TaskDefC1 defines a task taking a typed context pointer and one int64.
-type TaskDefC1[C any] struct {
-	wrap TaskFunc
-	fn   func(*Worker, *C, int64) int64
-	name string
-}
-
-// DefineC1 creates the routines for fn.
-func DefineC1[C any](name string, fn func(*Worker, *C, int64) int64) *TaskDefC1[C] {
-	d := &TaskDefC1[C]{fn: fn, name: name}
-	d.wrap = func(w *Worker, t *Task) { t.res = fn(w, t.ctx.(*C), t.a0) }
-	return d
-}
-
-// Spawn allocates a task and pushes it on w's deque.
-func (d *TaskDefC1[C]) Spawn(w *Worker, c *C, a0 int64) {
-	t := w.alloc()
-	t.ctx = c
-	t.a0 = a0
-	t.fn = d.wrap
-	t.stolenBy.Store(0)
-	t.done.Store(false)
-	if !w.push(t) {
-		w.elide(t)
-	}
-}
-
-// Call invokes the task function directly.
-func (d *TaskDefC1[C]) Call(w *Worker, c *C, a0 int64) int64 { return d.fn(w, c, a0) }
-
-// Join joins with the most recently spawned task.
-func (d *TaskDefC1[C]) Join(w *Worker) int64 {
-	t, inline := w.joinAcquire()
-	if inline {
-		fn := t.fn
-		fn(w, t)
-	}
-	res := t.res
-	w.release(t)
-	return res
-}
-
-// TaskDefC2 defines a task taking a typed context pointer and two int64s.
-type TaskDefC2[C any] struct {
-	wrap TaskFunc
-	fn   func(*Worker, *C, int64, int64) int64
-	name string
-}
-
-// DefineC2 creates the routines for fn.
-func DefineC2[C any](name string, fn func(*Worker, *C, int64, int64) int64) *TaskDefC2[C] {
-	d := &TaskDefC2[C]{fn: fn, name: name}
-	d.wrap = func(w *Worker, t *Task) { t.res = fn(w, t.ctx.(*C), t.a0, t.a1) }
-	return d
-}
-
-// Spawn allocates a task and pushes it on w's deque.
-func (d *TaskDefC2[C]) Spawn(w *Worker, c *C, a0, a1 int64) {
-	t := w.alloc()
-	t.ctx = c
-	t.a0, t.a1 = a0, a1
-	t.fn = d.wrap
-	t.stolenBy.Store(0)
-	t.done.Store(false)
-	if !w.push(t) {
-		w.elide(t)
-	}
-}
-
-// Call invokes the task function directly.
-func (d *TaskDefC2[C]) Call(w *Worker, c *C, a0, a1 int64) int64 { return d.fn(w, c, a0, a1) }
-
-// Join joins with the most recently spawned task.
-func (d *TaskDefC2[C]) Join(w *Worker) int64 {
-	t, inline := w.joinAcquire()
-	if inline {
-		fn := t.fn
-		fn(w, t)
-	}
-	res := t.res
-	w.release(t)
-	return res
-}
+func (d *TaskDef2) Join(w *Worker) int64 { return w.join() }
 
 // TaskDefC3 defines a task taking a typed context pointer and three int64s.
 type TaskDefC3[C any] struct {
@@ -207,7 +105,19 @@ func (d *TaskDefC3[C]) Call(w *Worker, c *C, a0, a1, a2 int64) int64 {
 }
 
 // Join joins with the most recently spawned task.
-func (d *TaskDefC3[C]) Join(w *Worker) int64 {
+func (d *TaskDefC3[C]) Join(w *Worker) int64 { return w.join() }
+
+// Name returns the definition's diagnostic name.
+func (d *TaskDef1) Name() string { return d.name }
+
+// Name returns the definition's diagnostic name.
+func (d *TaskDef2) Name() string { return d.name }
+
+// Name returns the definition's diagnostic name.
+func (d *TaskDefC3[C]) Name() string { return d.name }
+
+// join joins with w's most recently spawned task.
+func (w *Worker) join() int64 {
 	t, inline := w.joinAcquire()
 	if inline {
 		fn := t.fn
@@ -217,18 +127,3 @@ func (d *TaskDefC3[C]) Join(w *Worker) int64 {
 	w.release(t)
 	return res
 }
-
-// Name returns the definition's diagnostic name.
-func (d *TaskDef1) Name() string { return d.name }
-
-// Name returns the definition's diagnostic name.
-func (d *TaskDef2) Name() string { return d.name }
-
-// Name returns the definition's diagnostic name.
-func (d *TaskDefC1[C]) Name() string { return d.name }
-
-// Name returns the definition's diagnostic name.
-func (d *TaskDefC2[C]) Name() string { return d.name }
-
-// Name returns the definition's diagnostic name.
-func (d *TaskDefC3[C]) Name() string { return d.name }

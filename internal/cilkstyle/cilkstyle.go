@@ -134,6 +134,9 @@ type Worker struct {
 	steals atomic.Int64
 	// woolvet:atomic
 	stealAttempts atomic.Int64
+	// stealing brackets an idle-loop iteration (see Pool.settle).
+	// woolvet:atomic
+	stealing atomic.Bool
 }
 
 // Index returns the worker index.
@@ -320,10 +323,24 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
+// settle waits, while no Run is in flight, until no idle worker is
+// inside an idle-loop iteration. Idle workers neither run nor steal
+// work without a Run, so the counters then hold still: the quiescent
+// accessors settle first, which makes Stats and ResetStats right
+// after a Run exact.
+func (p *Pool) settle() {
+	for _, w := range p.workers[1:] {
+		for w.stealing.Load() && !p.running.Load() {
+			runtime.Gosched()
+		}
+	}
+}
+
 // Stats aggregates worker counters (quiescent pools only).
 //
 //woolvet:allow ownerprivate -- quiescent-pool accessor by contract
 func (p *Pool) Stats() Stats {
+	p.settle()
 	var s Stats
 	for _, w := range p.workers {
 		ws := w.stats
@@ -338,6 +355,7 @@ func (p *Pool) Stats() Stats {
 //
 //woolvet:allow ownerprivate -- quiescent-pool mutator by contract
 func (p *Pool) ResetStats() {
+	p.settle()
 	for _, w := range p.workers {
 		w.stats = Stats{}
 		w.steals.Store(0)
@@ -504,18 +522,25 @@ func (w *Worker) idleLoop() {
 	// next scheduling point (runStolen recovers), so exiting between
 	// attempts never strands a waiting frame.
 	for !w.pool.shutdown.Load() && !w.pool.panicked.Load() {
-		if next := w.popBottom(); next != nil {
-			w.runStolen(next)
+		// Dekker with Pool.settle: announce the iteration, then check
+		// for a Run (with none in flight every deque is empty).
+		w.stealing.Store(true)
+		ok := false
+		if w.pool.running.Load() {
+			if next := w.popBottom(); next != nil {
+				w.runStolen(next)
+				ok = true
+			} else {
+				v := w.chooseVictim()
+				ok = w.trySteal(w.pool.workers[v])
+				w.observeSteal(v, ok)
+			}
+		}
+		w.stealing.Store(false)
+		if ok {
 			fails = 0
 			continue
 		}
-		v := w.chooseVictim()
-		if w.trySteal(w.pool.workers[v]) {
-			w.observeSteal(v, true)
-			fails = 0
-			continue
-		}
-		w.observeSteal(v, false)
 		fails++
 		switch {
 		case fails < 64:

@@ -521,10 +521,24 @@ func (p *Pool) Stats() Stats {
 	return s
 }
 
+// settle waits, while no Run is in flight, until no idle worker is
+// inside a steal attempt or holding unflushed counters. Idle workers
+// neither attempt nor count steals without a Run, so the counters
+// then hold still: the quiescent accessors settle first, which makes
+// Stats and ResetStats right after a Run exact.
+func (p *Pool) settle() {
+	for _, w := range p.workers[1:] {
+		for w.stealing.Load() && !p.running.Load() {
+			runtime.Gosched()
+		}
+	}
+}
+
 // WorkerStats returns the counters of a single worker.
 //
 //woolvet:allow ownerprivate -- quiescent-pool accessor: callers read stats between Run calls (see Stats)
 func (p *Pool) WorkerStats(i int) Stats {
+	p.settle()
 	w := p.workers[i]
 	s := w.stats
 	s.StealAttempts = w.stealAttempts.Load()
@@ -566,6 +580,7 @@ func (p *Pool) StatsSnapshot() []Stats {
 //
 //woolvet:allow ownerprivate -- quiescent-pool mutator by contract
 func (p *Pool) ResetStats() {
+	p.settle()
 	for _, w := range p.workers {
 		w.stats = Stats{}
 		w.stealAttempts.Store(0)

@@ -188,6 +188,10 @@ type Worker struct {
 	parks atomic.Int64
 	// woolvet:atomic
 	wakes atomic.Int64
+	// stealing is set while the idle loop holds unflushed steal
+	// counters or is inside an attempt (see Pool.settle).
+	// woolvet:atomic
+	stealing atomic.Bool
 
 	// blockedSince is the wall-clock UnixNano at which this worker
 	// entered a blocked join (joinSlow slow path / leapfrog), or 0 when
@@ -217,11 +221,16 @@ func (w *Worker) Depth() int { return w.top - int(w.bot.Load()) }
 
 // stealCounters batches a steal loop's failure-path counters in plain
 // locals; flush writes them to the worker's atomics. The loops flush
-// every 64 failed attempts, after every success, before parking and on
-// exit, so a quiescent Stats() read lags by at most one batch.
+// every 64 failed attempts, after every success, before yielding,
+// sleeping or parking, and on exit, so a Stats() read during a Run
+// lags by at most one batch per worker, and one between Runs lags by
+// nothing (see Pool.settle).
 type stealCounters struct {
 	attempts int64
 	backoffs int64
+	// open records that the idle loop has set w.stealing for this
+	// batch; flush clears both.
+	open bool
 }
 
 func (w *Worker) flushStealCounters(c *stealCounters) {
@@ -232,6 +241,10 @@ func (w *Worker) flushStealCounters(c *stealCounters) {
 	if c.backoffs != 0 {
 		w.backoffs.Add(c.backoffs)
 		c.backoffs = 0
+	}
+	if c.open {
+		w.stealing.Store(false)
+		c.open = false
 	}
 }
 
@@ -743,6 +756,11 @@ const stSamplePeriod = 64
 // trySteal commits DONE), so parking between attempts never strands a
 // leapfrogging joiner.
 //
+// Between Runs every stack is empty, so the loop makes no attempts
+// (and counts none) while no Run is in flight, and it holds unflushed
+// counters only while spinning: it flushes before every yield, sleep
+// or park, so Pool.settle never waits on a sleeping worker.
+//
 // woolvet:thief
 func (w *Worker) idleLoop() {
 	var sc stealCounters
@@ -756,24 +774,15 @@ func (w *Worker) idleLoop() {
 			slept = 0
 			continue
 		}
-		v := w.chooseVictim()
-		var start time.Time
-		sampled := false
-		if w.prof.on {
-			w.prof.tick++
-			if w.prof.tick%stSamplePeriod == 0 {
-				sampled = true
-				start = time.Now()
-			}
+		// Dekker with Pool.settle: announce the open batch before
+		// checking for a Run.
+		if !sc.open {
+			w.stealing.Store(true)
+			sc.open = true
 		}
-		ok := w.trySteal(v, false, &sc)
-		if sampled && !ok {
-			w.prof.st.Add(stSamplePeriod * int64(time.Since(start)))
-		}
-		if ok {
-			if w.pol.Observe(v.idx, true) {
-				w.retainedSteals.Add(1)
-			}
+		if !w.pool.running.Load() {
+			w.flushStealCounters(&sc)
+		} else if v, ok := w.idleSteal(&sc); ok {
 			// Wake propagation: we are about to go busy on the stolen
 			// task; if the victim still has visible work and workers
 			// are parked, hand one of them the scan.
@@ -785,11 +794,7 @@ func (w *Worker) idleLoop() {
 			slept = 0
 			continue
 		}
-		w.pol.Observe(v.idx, false)
 		fails++
-		if fails&0x3f == 0 {
-			w.flushStealCounters(&sc)
-		}
 		if w.chs != nil && w.idle != nil && w.chs.Force(chaos.PointParkDecision) {
 			// Park-flapping: park far before the back-off ladder would,
 			// forcing every unit of work to win a wake race. Safe at any
@@ -801,13 +806,13 @@ func (w *Worker) idleLoop() {
 			continue
 		}
 		switch {
-		case fails < 64:
-			if runtime.GOMAXPROCS(0) == 1 {
-				runtime.Gosched()
-			}
+		case fails < 64 && runtime.GOMAXPROCS(0) > 1:
+			// Spin with the batch open.
 		case fails < 1024 || w.pool.opts.MaxIdleSleep <= 0:
+			w.flushStealCounters(&sc)
 			runtime.Gosched()
 		default:
+			w.flushStealCounters(&sc)
 			d := time.Duration(fails-1023) * time.Microsecond
 			if d > w.pool.opts.MaxIdleSleep {
 				d = w.pool.opts.MaxIdleSleep
@@ -815,7 +820,6 @@ func (w *Worker) idleLoop() {
 			time.Sleep(d)
 			slept += d
 			if w.idle != nil && slept >= w.idle.parkAfter {
-				w.flushStealCounters(&sc)
 				w.idle.park(w)
 				fails = 0
 				slept = 0
@@ -824,6 +828,32 @@ func (w *Worker) idleLoop() {
 	}
 	w.flushStealCounters(&sc)
 	w.pool.wg.Done()
+}
+
+// idleSteal is one idle-loop steal attempt on a policy-chosen victim,
+// reported back to the policy; it returns the victim and whether the
+// steal succeeded (the stolen task has then run to completion).
+//
+// woolvet:thief
+func (w *Worker) idleSteal(sc *stealCounters) (*Worker, bool) {
+	v := w.chooseVictim()
+	var start time.Time
+	sampled := false
+	if w.prof.on {
+		w.prof.tick++
+		if w.prof.tick%stSamplePeriod == 0 {
+			sampled = true
+			start = time.Now()
+		}
+	}
+	ok := w.trySteal(v, false, sc)
+	if sampled && !ok {
+		w.prof.st.Add(stSamplePeriod * int64(time.Since(start)))
+	}
+	if w.pol.Observe(v.idx, ok) && ok {
+		w.retainedSteals.Add(1)
+	}
+	return v, ok
 }
 
 // anyVisibleWork is the parking re-check: a read-only scan of every

@@ -78,8 +78,8 @@ func TestContextTask(t *testing.T) {
 	prev := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(prev)
 	type arr struct{ v []int64 }
-	var sum *TaskDefC2[arr]
-	sum = DefineC2("sum", func(w *Worker, a *arr, lo, hi int64) int64 {
+	var sum *TaskDefC3[arr]
+	sum = DefineC3("sum", func(w *Worker, a *arr, lo, hi, _ int64) int64 {
 		if hi-lo <= 8 {
 			var s int64
 			for i := lo; i < hi; i++ {
@@ -88,8 +88,8 @@ func TestContextTask(t *testing.T) {
 			return s
 		}
 		mid := (lo + hi) / 2
-		sum.Spawn(w, a, lo, mid)
-		r := sum.Call(w, a, mid, hi)
+		sum.Spawn(w, a, lo, mid, 0)
+		r := sum.Call(w, a, mid, hi, 0)
 		l := sum.Join(w)
 		return l + r
 	})
@@ -101,7 +101,7 @@ func TestContextTask(t *testing.T) {
 	}
 	p := NewPool(Options{Workers: 2})
 	defer p.Close()
-	if got := p.Run(func(w *Worker) int64 { return sum.Call(w, a, 0, 500) }); got != want {
+	if got := p.Run(func(w *Worker) int64 { return sum.Call(w, a, 0, 500, 0) }); got != want {
 		t.Errorf("sum = %d, want %d", got, want)
 	}
 }

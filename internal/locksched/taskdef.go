@@ -83,84 +83,6 @@ func (d *TaskDef2) Join(w *Worker) int64 {
 	return t.res
 }
 
-// TaskDefC1 defines a task taking a typed context pointer and one int64.
-type TaskDefC1[C any] struct {
-	fn   func(*Worker, *C, int64) int64
-	wrap TaskFunc
-	name string
-}
-
-// DefineC1 creates the routines for fn.
-func DefineC1[C any](name string, fn func(*Worker, *C, int64) int64) *TaskDefC1[C] {
-	d := &TaskDefC1[C]{fn: fn, name: name}
-	d.wrap = func(w *Worker, t *Task) { t.res = fn(w, t.ctx.(*C), t.a0) }
-	return d
-}
-
-// Spawn pushes a task on w's pool (inline on overflow, see TaskDef1).
-func (d *TaskDefC1[C]) Spawn(w *Worker, c *C, a0 int64) {
-	t := w.push()
-	if t == nil {
-		w.noteOverflowInlined(d.fn(w, c, a0))
-		return
-	}
-	t.ctx = c
-	t.a0 = a0
-	t.fn = d.wrap
-	w.spawn(t)
-}
-
-// Call invokes the task function directly.
-func (d *TaskDefC1[C]) Call(w *Worker, c *C, a0 int64) int64 { return d.fn(w, c, a0) }
-
-// Join joins with the most recently spawned task.
-func (d *TaskDefC1[C]) Join(w *Worker) int64 {
-	t, inline := w.joinAcquire()
-	if inline {
-		return d.fn(w, t.ctx.(*C), t.a0)
-	}
-	return t.res
-}
-
-// TaskDefC2 defines a task taking a typed context pointer and two int64s.
-type TaskDefC2[C any] struct {
-	fn   func(*Worker, *C, int64, int64) int64
-	wrap TaskFunc
-	name string
-}
-
-// DefineC2 creates the routines for fn.
-func DefineC2[C any](name string, fn func(*Worker, *C, int64, int64) int64) *TaskDefC2[C] {
-	d := &TaskDefC2[C]{fn: fn, name: name}
-	d.wrap = func(w *Worker, t *Task) { t.res = fn(w, t.ctx.(*C), t.a0, t.a1) }
-	return d
-}
-
-// Spawn pushes a task on w's pool (inline on overflow, see TaskDef1).
-func (d *TaskDefC2[C]) Spawn(w *Worker, c *C, a0, a1 int64) {
-	t := w.push()
-	if t == nil {
-		w.noteOverflowInlined(d.fn(w, c, a0, a1))
-		return
-	}
-	t.ctx = c
-	t.a0, t.a1 = a0, a1
-	t.fn = d.wrap
-	w.spawn(t)
-}
-
-// Call invokes the task function directly.
-func (d *TaskDefC2[C]) Call(w *Worker, c *C, a0, a1 int64) int64 { return d.fn(w, c, a0, a1) }
-
-// Join joins with the most recently spawned task.
-func (d *TaskDefC2[C]) Join(w *Worker) int64 {
-	t, inline := w.joinAcquire()
-	if inline {
-		return d.fn(w, t.ctx.(*C), t.a0, t.a1)
-	}
-	return t.res
-}
-
 // TaskDefC3 defines a task taking a typed context pointer and three int64s.
 type TaskDefC3[C any] struct {
 	fn   func(*Worker, *C, int64, int64, int64) int64
@@ -207,12 +129,6 @@ func (d *TaskDef1) Name() string { return d.name }
 
 // Name returns the definition's diagnostic name.
 func (d *TaskDef2) Name() string { return d.name }
-
-// Name returns the definition's diagnostic name.
-func (d *TaskDefC1[C]) Name() string { return d.name }
-
-// Name returns the definition's diagnostic name.
-func (d *TaskDefC2[C]) Name() string { return d.name }
 
 // Name returns the definition's diagnostic name.
 func (d *TaskDefC3[C]) Name() string { return d.name }

@@ -5,18 +5,12 @@ import (
 	"gowool/internal/steal"
 )
 
-func init() { register(chaselevSched{}, 1) }
-
-// chaselevSched registers the Chase-Lev deque scheduler (the TBB
+// chaselevBackend registers the Chase-Lev deque scheduler (the TBB
 // stand-in).
-type chaselevSched struct{}
-
-func (chaselevSched) Name() string { return "chaselev" }
-func (chaselevSched) Blurb() string {
-	return "Chase-Lev deque, TBB-style: free-list task structures, pointer deque, thief/victim sync on the top/bottom indices, steal-anywhere blocked joins"
-}
-func (chaselevSched) Caps() Caps {
-	return Caps{
+var chaselevBackend = &backend[*chaselev.Pool]{
+	name:  "chaselev",
+	blurb: "Chase-Lev deque, TBB-style: free-list task structures, pointer deque, thief/victim sync on the top/bottom indices, steal-anywhere blocked joins",
+	caps: Caps{
 		Steal:      "CAS on the deque's top index; steal child, oldest first",
 		StealChild: true,
 		Stats:      true,
@@ -27,63 +21,44 @@ func (chaselevSched) Caps() Caps {
 		// thief can CAS-claim a run of top entries (steal-half).
 		StealPolicies: steal.Policies(),
 		StealAmounts:  steal.Amounts(),
-	}
-}
-
-func (chaselevSched) NewPool(o Options) Pool {
-	return &chaselevPool{p: chaselev.NewPool(chaselev.Options{
-		Workers:        o.Workers,
-		DequeSize:      o.StackSize,
-		StrictOverflow: o.StrictOverflow,
-		MaxIdleSleep:   o.MaxIdleSleep,
-		Trace:          o.Trace,
-		Chaos:          o.Chaos,
-		Steal:          o.Steal,
-	})}
-}
-
-type chaselevPool struct{ p *chaselev.Pool }
-
-func (cp *chaselevPool) Workers() int { return cp.p.Workers() }
-func (cp *chaselevPool) Close()       { cp.p.Close() }
-func (cp *chaselevPool) Native() any  { return cp.p }
-func (cp *chaselevPool) ResetStats()  { cp.p.ResetStats() }
-
-func (cp *chaselevPool) Stats() Stats {
-	s := cp.p.Stats()
-	return Stats{
-		Spawns:        s.Spawns,
-		JoinsInlined:  s.JoinsInlined,
-		JoinsStolen:   s.JoinsStolen,
-		Steals:        s.Steals,
-		StealAttempts: s.StealAttempts,
-		Backoffs:      s.Backoffs,
-		Extra: map[string]int64{
-			"wait_steals":      s.WaitSteals,
-			"allocs":           s.Allocs,
-			"overflow_inlined": s.OverflowInlined,
-		},
-	}
-}
-
-func (cp *chaselevPool) RunRec(j RecJob) int64 {
-	d := BuildRec(chaselev.Define1, j)
-	return cp.p.Run(func(w *chaselev.Worker) int64 {
-		var total int64
-		for r := int64(0); r < reps(j.Reps); r++ {
-			total += d.Call(w, j.Root)
+	},
+	newPool: func(o Options) *chaselev.Pool {
+		return chaselev.NewPool(chaselev.Options{
+			Workers:        o.Workers,
+			DequeSize:      o.StackSize,
+			StrictOverflow: o.StrictOverflow,
+			MaxIdleSleep:   o.MaxIdleSleep,
+			Trace:          o.Trace,
+			Chaos:          o.Chaos,
+			Steal:          o.Steal,
+		})
+	},
+	stats: func(p *chaselev.Pool) Stats {
+		s := p.Stats()
+		return Stats{
+			Spawns:        s.Spawns,
+			JoinsInlined:  s.JoinsInlined,
+			JoinsStolen:   s.JoinsStolen,
+			Steals:        s.Steals,
+			StealAttempts: s.StealAttempts,
+			Backoffs:      s.Backoffs,
+			Extra: map[string]int64{
+				"wait_steals":      s.WaitSteals,
+				"allocs":           s.Allocs,
+				"overflow_inlined": s.OverflowInlined,
+			},
 		}
-		return total
-	})
-}
-
-func (cp *chaselevPool) RunRange(j RangeJob) int64 {
-	d := BuildRange(chaselev.Define2, j)
-	return cp.p.Run(func(w *chaselev.Worker) int64 {
-		var total int64
-		for r := int64(0); r < reps(j.Reps); r++ {
-			total += d.Call(w, 0, j.N)
-		}
-		return total
-	})
+	},
+	runRec: func(p *chaselev.Pool, j RecJob) int64 {
+		d := BuildRec(chaselev.Define1, j)
+		return p.Run(func(w *chaselev.Worker) int64 {
+			return sumReps(j.Reps, func() int64 { return d.Call(w, j.Root) })
+		})
+	},
+	runRange: func(p *chaselev.Pool, j RangeJob) int64 {
+		d := BuildRange(chaselev.Define2, j)
+		return p.Run(func(w *chaselev.Worker) int64 {
+			return sumReps(j.Reps, func() int64 { return d.Call(w, 0, j.N) })
+		})
+	},
 }

@@ -5,22 +5,16 @@ import (
 	"gowool/internal/steal"
 )
 
-func init() { register(cilkSched{}, 3) }
-
-// cilkSched registers the steal-parent continuation scheduler (the
-// Cilk++ stand-in). Its task functions are explicit continuation
-// state machines, so the generic ports here are hand-written frame
-// recursions — the shape Cilk++'s compiler generates for
+// cilk registers the steal-parent continuation scheduler (the Cilk++
+// stand-in). Its task functions are explicit continuation state
+// machines, so its job entry points are hand-written frame recursions
+// — the shape Cilk++'s compiler generates for
 //
 //	a = spawn f(x); b = spawn f(y); sync; return a+b;
-type cilkSched struct{}
-
-func (cilkSched) Name() string { return "cilk" }
-func (cilkSched) Blurb() string {
-	return "steal-parent continuations, Cilk++-style: cactus-stack frames, locked deques of continuations, constant task-pool space in spawn loops"
-}
-func (cilkSched) Caps() Caps {
-	return Caps{
+var cilk = &backend[*cilkstyle.Pool]{
+	name:  "cilk",
+	blurb: "steal-parent continuations, Cilk++-style: cactus-stack frames, locked deques of continuations, constant task-pool space in spawn loops",
+	caps: Caps{
 		Steal: "lock on the victim's continuation deque; steal parent (the continuation), oldest first",
 		Stats: true,
 		Trace: true,
@@ -29,133 +23,123 @@ func (cilkSched) Caps() Caps {
 		// level, so there is no batch to take: amount is always one.
 		StealPolicies: steal.Policies(),
 		StealAmounts:  []string{steal.AmountOne},
+	},
+	newPool: func(o Options) *cilkstyle.Pool {
+		return cilkstyle.NewPool(cilkstyle.Options{
+			Workers:      o.Workers,
+			DequeSize:    o.StackSize,
+			MaxIdleSleep: o.MaxIdleSleep,
+			Trace:        o.Trace,
+			Chaos:        o.Chaos,
+			Steal:        o.Steal,
+		})
+	},
+	stats: func(p *cilkstyle.Pool) Stats {
+		s := p.Stats()
+		return Stats{
+			Spawns:        s.Spawns,
+			Steals:        s.Steals,
+			StealAttempts: s.StealAttempts,
+			Extra: map[string]int64{
+				"suspends": s.Suspends,
+				"resumes":  s.Resumes,
+			},
+		}
+	},
+	runRec: func(p *cilkstyle.Pool, j RecJob) int64 {
+		return runCilk(p, j.Reps, recNode{&j, j.Root})
+	},
+	runRange: func(p *cilkstyle.Pool, j RangeJob) int64 {
+		return runCilk(p, j.Reps, rangeNode{&j, 0, j.N})
+	},
+}
+
+// cilkNode is one node of a job's recursion: its leaf value, or the
+// two subproblems its frame spawns before the sync.
+type cilkNode[N any] interface {
+	leaf() (int64, bool)
+	split() (first, second N)
+}
+
+// recNode is a RecJob node.
+type recNode struct {
+	job *RecJob
+	n   int64
+}
+
+func (r recNode) leaf() (int64, bool) { return r.job.Leaf(r.n) }
+
+func (r recNode) split() (recNode, recNode) {
+	first, second := r.job.Split(r.n)
+	return recNode{r.job, first}, recNode{r.job, second}
+}
+
+// rangeNode is a balanced range-splitter node of a RangeJob.
+type rangeNode struct {
+	job    *RangeJob
+	lo, hi int64
+}
+
+func (r rangeNode) leaf() (int64, bool) {
+	if r.hi-r.lo > 1 {
+		return 0, false
 	}
-}
-
-func (cilkSched) NewPool(o Options) Pool {
-	return &cilkPool{p: cilkstyle.NewPool(cilkstyle.Options{
-		Workers:      o.Workers,
-		DequeSize:    o.StackSize,
-		MaxIdleSleep: o.MaxIdleSleep,
-		Trace:        o.Trace,
-		Chaos:        o.Chaos,
-		Steal:        o.Steal,
-	})}
-}
-
-type cilkPool struct{ p *cilkstyle.Pool }
-
-func (cp *cilkPool) Workers() int { return cp.p.Workers() }
-func (cp *cilkPool) Close()       { cp.p.Close() }
-func (cp *cilkPool) Native() any  { return cp.p }
-func (cp *cilkPool) ResetStats()  { cp.p.ResetStats() }
-
-func (cp *cilkPool) Stats() Stats {
-	s := cp.p.Stats()
-	return Stats{
-		Spawns:        s.Spawns,
-		Steals:        s.Steals,
-		StealAttempts: s.StealAttempts,
-		Extra: map[string]int64{
-			"suspends": s.Suspends,
-			"resumes":  s.Resumes,
-		},
+	if r.hi > r.lo {
+		return r.job.Leaf(r.lo), true
 	}
+	return 0, true
 }
 
-// cilkRecFrame is the cactus-stack frame of one RecJob node: spawn
-// both subproblems, sync, sum.
-type cilkRecFrame struct {
+func (r rangeNode) split() (rangeNode, rangeNode) {
+	mid := (r.lo + r.hi) / 2
+	return rangeNode{r.job, r.lo, mid}, rangeNode{r.job, mid, r.hi}
+}
+
+// cilkFrame is the cactus-stack frame of one node: spawn both
+// subproblems, sync, sum.
+type cilkFrame[N cilkNode[N]] struct {
 	cilkstyle.Frame
-	job  *RecJob
-	n    int64
+	node N
 	a, b int64
 	res  *int64
 }
 
-func (f *cilkRecFrame) step0(w *cilkstyle.Worker) cilkstyle.Step {
-	if v, ok := f.job.Leaf(f.n); ok {
+func (f *cilkFrame[N]) step0(w *cilkstyle.Worker) cilkstyle.Step {
+	if v, ok := f.node.leaf(); ok {
 		*f.res = v
 		return w.Return(&f.Frame)
 	}
-	first, _ := f.job.Split(f.n)
-	child := &cilkRecFrame{job: f.job, n: first, res: &f.a}
-	cilkstyle.NewChild(&f.Frame, &child.Frame)
-	return w.Spawn(&f.Frame, f.step1, child.step0)
+	first, _ := f.node.split()
+	return f.spawn(w, first, &f.a, f.step1)
 }
 
-func (f *cilkRecFrame) step1(w *cilkstyle.Worker) cilkstyle.Step {
-	_, second := f.job.Split(f.n)
-	child := &cilkRecFrame{job: f.job, n: second, res: &f.b}
-	cilkstyle.NewChild(&f.Frame, &child.Frame)
-	return w.Spawn(&f.Frame, f.step2, child.step0)
+func (f *cilkFrame[N]) step1(w *cilkstyle.Worker) cilkstyle.Step {
+	_, second := f.node.split()
+	return f.spawn(w, second, &f.b, f.step2)
 }
 
-func (f *cilkRecFrame) step2(w *cilkstyle.Worker) cilkstyle.Step {
+func (f *cilkFrame[N]) step2(w *cilkstyle.Worker) cilkstyle.Step {
 	return w.Sync(&f.Frame, f.step3)
 }
 
-func (f *cilkRecFrame) step3(w *cilkstyle.Worker) cilkstyle.Step {
+func (f *cilkFrame[N]) step3(w *cilkstyle.Worker) cilkstyle.Step {
 	*f.res = f.a + f.b
 	return w.Return(&f.Frame)
 }
 
-func (cp *cilkPool) RunRec(j RecJob) int64 {
-	var total int64
-	for r := int64(0); r < reps(j.Reps); r++ {
-		var res int64
-		root := &cilkRecFrame{job: &j, n: j.Root, res: &res}
-		cp.p.Run(&root.Frame, root.step0)
-		total += res
-	}
-	return total
-}
-
-// cilkRangeFrame is the frame of one balanced range-splitter node.
-type cilkRangeFrame struct {
-	cilkstyle.Frame
-	job    *RangeJob
-	lo, hi int64
-	a, b   int64
-	res    *int64
-}
-
-func (f *cilkRangeFrame) step0(w *cilkstyle.Worker) cilkstyle.Step {
-	if f.hi-f.lo <= 1 {
-		if f.hi > f.lo {
-			*f.res = f.job.Leaf(f.lo)
-		}
-		return w.Return(&f.Frame)
-	}
-	mid := (f.lo + f.hi) / 2
-	child := &cilkRangeFrame{job: f.job, lo: f.lo, hi: mid, res: &f.a}
+// spawn spawns the child frame for n, continuing with next.
+func (f *cilkFrame[N]) spawn(w *cilkstyle.Worker, n N, res *int64, next cilkstyle.Step) cilkstyle.Step {
+	child := &cilkFrame[N]{node: n, res: res}
 	cilkstyle.NewChild(&f.Frame, &child.Frame)
-	return w.Spawn(&f.Frame, f.step1, child.step0)
+	return w.Spawn(&f.Frame, next, child.step0)
 }
 
-func (f *cilkRangeFrame) step1(w *cilkstyle.Worker) cilkstyle.Step {
-	mid := (f.lo + f.hi) / 2
-	child := &cilkRangeFrame{job: f.job, lo: mid, hi: f.hi, res: &f.b}
-	cilkstyle.NewChild(&f.Frame, &child.Frame)
-	return w.Spawn(&f.Frame, f.step2, child.step0)
-}
-
-func (f *cilkRangeFrame) step2(w *cilkstyle.Worker) cilkstyle.Step {
-	return w.Sync(&f.Frame, f.step3)
-}
-
-func (f *cilkRangeFrame) step3(w *cilkstyle.Worker) cilkstyle.Step {
-	*f.res = f.a + f.b
-	return w.Return(&f.Frame)
-}
-
-func (cp *cilkPool) RunRange(j RangeJob) int64 {
-	var total int64
-	for r := int64(0); r < reps(j.Reps); r++ {
+// runCilk runs the recursion from root once per repetition.
+func runCilk[N cilkNode[N]](p *cilkstyle.Pool, reps int64, root N) int64 {
+	return sumReps(reps, func() int64 {
 		var res int64
-		root := &cilkRangeFrame{job: &j, lo: 0, hi: j.N, res: &res}
-		cp.p.Run(&root.Frame, root.step0)
-		total += res
-	}
-	return total
+		f := &cilkFrame[N]{node: root, res: &res}
+		p.Run(&f.Frame, f.step0)
+		return res
+	})
 }

@@ -2,20 +2,15 @@ package sched
 
 import (
 	"gowool/internal/core"
+	"gowool/internal/gen/ports"
 	"gowool/internal/steal"
 )
 
-func init() { register(woolSched{}, 0) }
-
-// woolSched registers the paper's direct task stack (internal/core).
-type woolSched struct{}
-
-func (woolSched) Name() string { return "wool" }
-func (woolSched) Blurb() string {
-	return "direct task stack (the paper's scheduler): descriptors inline in a per-worker array, thief/victim sync on the descriptor state word, private tasks, leapfrogging"
-}
-func (woolSched) Caps() Caps {
-	return Caps{
+// wool registers the paper's direct task stack (internal/core).
+var wool = &backend[*core.Pool]{
+	name:  "wool",
+	blurb: "direct task stack (the paper's scheduler): descriptors inline in a per-worker array, thief/victim sync on the descriptor state word, private tasks, leapfrogging",
+	caps: Caps{
 		Steal:        "CAS on the task descriptor's state word; steal child, oldest first",
 		StealChild:   true,
 		PrivateTasks: true,
@@ -33,11 +28,59 @@ func (woolSched) Caps() Caps {
 		// layer can cancel requests mid-flight (woolgen inherits this
 		// Caps copy and with it the flag).
 		Serve: true,
-	}
+	},
+	newPool: newCorePool,
+	stats:   coreStats,
+	runRec: func(p *core.Pool, j RecJob) int64 {
+		d := BuildRec(core.Define1, j)
+		return p.Run(func(w *core.Worker) int64 {
+			return sumReps(j.Reps, func() int64 { return d.Call(w, j.Root) })
+		})
+	},
+	runRange: func(p *core.Pool, j RangeJob) int64 {
+		d := BuildRange(core.Define2, j)
+		return p.Run(func(w *core.Worker) int64 {
+			return sumReps(j.Reps, func() int64 { return d.Call(w, 0, j.N) })
+		})
+	},
 }
 
-func (woolSched) NewPool(o Options) Pool {
-	return &woolPool{p: core.NewPool(core.Options{
+// woolgen is the paper's direct task stack behind the woolgen-generated
+// monomorphic ports (internal/gen/ports) instead of the generic
+// task-port layer: same core.Pool, same protocol, but RunRec/RunRange
+// spawn through Spawn*/Join* functions whose private fast path
+// flattens to plain descriptor stores and direct body calls
+// (DESIGN.md §13). Registering it as its own backend runs the
+// generated code under the full conformance, torture, panic and chaos
+// surface the registry provides — the generated fast path has to agree
+// with the serial reference under every profile the generic ports do.
+var woolgen = &backend[*core.Pool]{
+	name:    "woolgen",
+	blurb:   "direct task stack behind woolgen-generated monomorphic ports: private-path spawn/join flattens to plain stores and direct body calls",
+	caps:    withGeneratedPorts(wool.caps),
+	newPool: newCorePool,
+	stats:   coreStats,
+	runRec: func(p *core.Pool, j RecJob) int64 {
+		c := &ports.RecCtx{Leaf: j.Leaf, Split: j.Split}
+		return p.Run(func(w *core.Worker) int64 {
+			return sumReps(j.Reps, func() int64 { return ports.CallRec(w, c, j.Root) })
+		})
+	},
+	runRange: func(p *core.Pool, j RangeJob) int64 {
+		c := &ports.RangeCtx{Leaf: j.Leaf}
+		return p.Run(func(w *core.Worker) int64 {
+			return sumReps(j.Reps, func() int64 { return ports.CallRange(w, c, 0, j.N) })
+		})
+	},
+}
+
+func withGeneratedPorts(c Caps) Caps {
+	c.GeneratedPorts = true
+	return c
+}
+
+func newCorePool(o Options) *core.Pool {
+	return core.NewPool(core.Options{
 		Workers:        o.Workers,
 		StackSize:      o.StackSize,
 		StrictOverflow: o.StrictOverflow,
@@ -47,18 +90,11 @@ func (woolSched) NewPool(o Options) Pool {
 		Chaos:          o.Chaos,
 		Watchdog:       o.Watchdog,
 		Steal:          o.Steal,
-	})}
+	})
 }
 
-type woolPool struct{ p *core.Pool }
-
-func (wp *woolPool) Workers() int { return wp.p.Workers() }
-func (wp *woolPool) Close()       { wp.p.Close() }
-func (wp *woolPool) Native() any  { return wp.p }
-func (wp *woolPool) ResetStats()  { wp.p.ResetStats() }
-
-func (wp *woolPool) Stats() Stats {
-	s := wp.p.Stats()
+func coreStats(p *core.Pool) Stats {
+	s := p.Stats()
 	return Stats{
 		Spawns:        s.Spawns,
 		JoinsInlined:  s.JoinsInlinedPublic + s.JoinsInlinedPrivate,
@@ -78,26 +114,4 @@ func (wp *woolPool) Stats() Stats {
 			"overflow_inlined":      s.OverflowInlined,
 		},
 	}
-}
-
-func (wp *woolPool) RunRec(j RecJob) int64 {
-	d := BuildRec(core.Define1, j)
-	return wp.p.Run(func(w *core.Worker) int64 {
-		var total int64
-		for r := int64(0); r < reps(j.Reps); r++ {
-			total += d.Call(w, j.Root)
-		}
-		return total
-	})
-}
-
-func (wp *woolPool) RunRange(j RangeJob) int64 {
-	d := BuildRange(core.Define2, j)
-	return wp.p.Run(func(w *core.Worker) int64 {
-		var total int64
-		for r := int64(0); r < reps(j.Reps); r++ {
-			total += d.Call(w, 0, j.N)
-		}
-		return total
-	})
 }

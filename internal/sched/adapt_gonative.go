@@ -6,8 +6,6 @@ import (
 	"gowool/internal/gonative"
 )
 
-func init() { register(gonativeSched{}, 5) }
-
 // gonativeSched registers the idiomatic-Go baseline: fork-join with
 // goroutines, channels and WaitGroups, scheduled by the Go runtime.
 // There is no pool object and no counters (Caps.Stats is false); the
@@ -61,25 +59,21 @@ func (gp *gonativePool) RunRec(j RecJob) int64 {
 		)
 		return a + b
 	}
-	var total int64
-	for r := int64(0); r < reps(j.Reps); r++ {
-		total += rec(j.Root)
-	}
-	return total
+	return sumReps(j.Reps, func() int64 { return rec(j.Root) })
 }
 
 func (gp *gonativePool) RunRange(j RangeJob) int64 {
 	out := make([]int64, j.N)
-	var total int64
-	for r := int64(0); r < reps(j.Reps); r++ {
+	return sumReps(j.Reps, func() int64 {
 		if j.Irregular {
 			gonative.ParallelForDynamic(0, j.N, 4, func(i int64) { out[i] = j.Leaf(i) })
 		} else {
 			gonative.ParallelFor(0, j.N, gp.workers, func(i int64) { out[i] = j.Leaf(i) })
 		}
+		var total int64
 		for _, v := range out {
 			total += v
 		}
-	}
-	return total
+		return total
+	})
 }

@@ -5,18 +5,12 @@ import (
 	"gowool/internal/steal"
 )
 
-func init() { register(lockSched{}, 2) }
-
-// lockSched registers the lock-based ladder (the paper's "base"
+// lockBackend registers the lock-based ladder (the paper's "base"
 // steal implementation family, Figure 4).
-type lockSched struct{}
-
-func (lockSched) Name() string { return "locksched" }
-func (lockSched) Blurb() string {
-	return "lock-based ladder: per-worker locked task pools, base/peek/trylock steal strategies, leapfrogging joins"
-}
-func (lockSched) Caps() Caps {
-	return Caps{
+var lockBackend = &backend[*locksched.Pool]{
+	name:  "locksched",
+	blurb: "lock-based ladder: per-worker locked task pools, base/peek/trylock steal strategies, leapfrogging joins",
+	caps: Caps{
 		Steal:      "per-worker lock around the victim's pool; steal child, oldest first",
 		StealChild: true,
 		Leapfrog:   true,
@@ -28,63 +22,44 @@ func (lockSched) Caps() Caps {
 		// half the stealable run in one critical section (steal-half).
 		StealPolicies: steal.Policies(),
 		StealAmounts:  steal.Amounts(),
-	}
-}
-
-func (lockSched) NewPool(o Options) Pool {
-	return &lockPool{p: locksched.NewPool(locksched.Options{
-		Workers:        o.Workers,
-		StackSize:      o.StackSize,
-		StrictOverflow: o.StrictOverflow,
-		MaxIdleSleep:   o.MaxIdleSleep,
-		Trace:          o.Trace,
-		Chaos:          o.Chaos,
-		Steal:          o.Steal,
-	})}
-}
-
-type lockPool struct{ p *locksched.Pool }
-
-func (lp *lockPool) Workers() int { return lp.p.Workers() }
-func (lp *lockPool) Close()       { lp.p.Close() }
-func (lp *lockPool) Native() any  { return lp.p }
-func (lp *lockPool) ResetStats()  { lp.p.ResetStats() }
-
-func (lp *lockPool) Stats() Stats {
-	s := lp.p.Stats()
-	return Stats{
-		Spawns:        s.Spawns,
-		JoinsInlined:  s.JoinsInlined,
-		JoinsStolen:   s.JoinsStolen,
-		Steals:        s.Steals,
-		StealAttempts: s.StealAttempts,
-		Backoffs:      s.LockFailures,
-		Extra: map[string]int64{
-			"lock_failures":    s.LockFailures,
-			"leap_steals":      s.LeapSteals,
-			"overflow_inlined": s.OverflowInlined,
-		},
-	}
-}
-
-func (lp *lockPool) RunRec(j RecJob) int64 {
-	d := BuildRec(locksched.Define1, j)
-	return lp.p.Run(func(w *locksched.Worker) int64 {
-		var total int64
-		for r := int64(0); r < reps(j.Reps); r++ {
-			total += d.Call(w, j.Root)
+	},
+	newPool: func(o Options) *locksched.Pool {
+		return locksched.NewPool(locksched.Options{
+			Workers:        o.Workers,
+			StackSize:      o.StackSize,
+			StrictOverflow: o.StrictOverflow,
+			MaxIdleSleep:   o.MaxIdleSleep,
+			Trace:          o.Trace,
+			Chaos:          o.Chaos,
+			Steal:          o.Steal,
+		})
+	},
+	stats: func(p *locksched.Pool) Stats {
+		s := p.Stats()
+		return Stats{
+			Spawns:        s.Spawns,
+			JoinsInlined:  s.JoinsInlined,
+			JoinsStolen:   s.JoinsStolen,
+			Steals:        s.Steals,
+			StealAttempts: s.StealAttempts,
+			Backoffs:      s.LockFailures,
+			Extra: map[string]int64{
+				"lock_failures":    s.LockFailures,
+				"leap_steals":      s.LeapSteals,
+				"overflow_inlined": s.OverflowInlined,
+			},
 		}
-		return total
-	})
-}
-
-func (lp *lockPool) RunRange(j RangeJob) int64 {
-	d := BuildRange(locksched.Define2, j)
-	return lp.p.Run(func(w *locksched.Worker) int64 {
-		var total int64
-		for r := int64(0); r < reps(j.Reps); r++ {
-			total += d.Call(w, 0, j.N)
-		}
-		return total
-	})
+	},
+	runRec: func(p *locksched.Pool, j RecJob) int64 {
+		d := BuildRec(locksched.Define1, j)
+		return p.Run(func(w *locksched.Worker) int64 {
+			return sumReps(j.Reps, func() int64 { return d.Call(w, j.Root) })
+		})
+	},
+	runRange: func(p *locksched.Pool, j RangeJob) int64 {
+		d := BuildRange(locksched.Define2, j)
+		return p.Run(func(w *locksched.Worker) int64 {
+			return sumReps(j.Reps, func() int64 { return d.Call(w, 0, j.N) })
+		})
+	},
 }

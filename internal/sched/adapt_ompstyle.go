@@ -1,62 +1,47 @@
 package sched
 
-import (
-	"gowool/internal/ompstyle"
-)
+import "gowool/internal/ompstyle"
 
-func init() { register(ompSched{}, 4) }
-
-// ompSched registers the centralized OpenMP-style pool. Faithful to
-// how the paper's OpenMP versions are written, RunRange uses the
+// omp registers the centralized OpenMP-style pool. Faithful to how
+// the paper's OpenMP versions are written, RunRange uses the
 // work-sharing loop (ParallelFor) rather than a task tree — static
-// schedule for regular ranges, dynamic for irregular ones — and
-// RunRec uses tasks with taskwait.
-type ompSched struct{}
-
-func (ompSched) Name() string { return "omp" }
-func (ompSched) Blurb() string {
-	return "centralized pool, icc OpenMP 3.0-style: closure tasks through one global lock, taskwait helps, loops by work-sharing"
-}
-func (ompSched) Caps() Caps {
-	return Caps{
+// schedule for regular ranges, dynamic for irregular ones — and RunRec
+// uses tasks with taskwait.
+var omp = &backend[*ompstyle.Pool]{
+	name:  "omp",
+	blurb: "centralized pool, icc OpenMP 3.0-style: closure tasks through one global lock, taskwait helps, loops by work-sharing",
+	caps: Caps{
 		Steal:       "one lock-protected central queue; any idle worker takes the oldest task",
 		WorkSharing: true,
 		Stats:       true,
 		Trace:       true,
 		Chaos:       true,
 		// No StealPolicies: a central queue has no victims to select.
-	}
-}
-
-func (ompSched) NewPool(o Options) Pool {
-	return &ompPool{p: ompstyle.NewPool(ompstyle.Options{
-		Workers:      o.Workers,
-		QueueSize:    o.StackSize,
-		MaxIdleSleep: o.MaxIdleSleep,
-		Trace:        o.Trace,
-		Chaos:        o.Chaos,
-	})}
-}
-
-type ompPool struct{ p *ompstyle.Pool }
-
-func (op *ompPool) Workers() int { return op.p.Workers() }
-func (op *ompPool) Close()       { op.p.Close() }
-func (op *ompPool) Native() any  { return op.p }
-func (op *ompPool) ResetStats()  { op.p.ResetStats() }
-
-func (op *ompPool) Stats() Stats {
-	s := op.p.Stats()
-	return Stats{
-		Spawns: s.Spawns,
-		Extra: map[string]int64{
-			"executed":    s.Executed,
-			"wait_loops":  s.WaitLoops,
-			"chunks_run":  s.ChunksRun,
-			"max_queued":  s.MaxQueued,
-			"lock_passes": s.LockPasses,
-		},
-	}
+	},
+	newPool: func(o Options) *ompstyle.Pool {
+		return ompstyle.NewPool(ompstyle.Options{
+			Workers:      o.Workers,
+			QueueSize:    o.StackSize,
+			MaxIdleSleep: o.MaxIdleSleep,
+			Trace:        o.Trace,
+			Chaos:        o.Chaos,
+		})
+	},
+	stats: func(p *ompstyle.Pool) Stats {
+		s := p.Stats()
+		return Stats{
+			Spawns: s.Spawns,
+			Extra: map[string]int64{
+				"executed":    s.Executed,
+				"wait_loops":  s.WaitLoops,
+				"chunks_run":  s.ChunksRun,
+				"max_queued":  s.MaxQueued,
+				"lock_passes": s.LockPasses,
+			},
+		}
+	},
+	runRec:   ompRunRec,
+	runRange: ompRunRange,
 }
 
 // ompRec is the task-recursive body: spawn one child task, compute the
@@ -74,30 +59,26 @@ func ompRec(tc *ompstyle.Context, j *RecJob, n int64) int64 {
 	return a + b
 }
 
-func (op *ompPool) RunRec(j RecJob) int64 {
-	return op.p.Run(func(tc *ompstyle.Context) int64 {
-		var total int64
-		for r := int64(0); r < reps(j.Reps); r++ {
-			total += ompRec(tc, &j, j.Root)
-		}
-		return total
+func ompRunRec(p *ompstyle.Pool, j RecJob) int64 {
+	return p.Run(func(tc *ompstyle.Context) int64 {
+		return sumReps(j.Reps, func() int64 { return ompRec(tc, &j, j.Root) })
 	})
 }
 
-func (op *ompPool) RunRange(j RangeJob) int64 {
+func ompRunRange(p *ompstyle.Pool, j RangeJob) int64 {
 	out := make([]int64, j.N)
-	return op.p.Run(func(tc *ompstyle.Context) int64 {
+	return p.Run(func(tc *ompstyle.Context) int64 {
 		schedule, chunk := ompstyle.Static, int64(0)
 		if j.Irregular {
 			schedule, chunk = ompstyle.Dynamic, 4
 		}
-		var total int64
-		for r := int64(0); r < reps(j.Reps); r++ {
+		return sumReps(j.Reps, func() int64 {
 			tc.ParallelFor(0, j.N, schedule, chunk, func(i int64) { out[i] = j.Leaf(i) })
+			var total int64
 			for _, v := range out {
 				total += v
 			}
-		}
-		return total
+			return total
+		})
 	})
 }

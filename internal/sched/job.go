@@ -46,12 +46,13 @@ type RangeJob struct {
 	Irregular bool
 }
 
-// reps normalizes a repetition count.
-func reps(r int64) int64 {
-	if r <= 0 {
-		return 1
+// sumReps sums f over a job's serialized repetitions (Reps; 0 means 1).
+func sumReps(reps int64, f func() int64) int64 {
+	total := f()
+	for r := int64(1); r < reps; r++ {
+		total += f()
 	}
-	return r
+	return total
 }
 
 // Serial runs the recursion with no task constructs — the conformance
@@ -65,22 +66,18 @@ func (j RecJob) Serial() int64 {
 		a, b := j.Split(n)
 		return rec(a) + rec(b)
 	}
-	var total int64
-	for r := int64(0); r < reps(j.Reps); r++ {
-		total += rec(j.Root)
-	}
-	return total
+	return sumReps(j.Reps, func() int64 { return rec(j.Root) })
 }
 
 // Serial runs the range with no task constructs — the conformance
 // reference. Leaf side effects happen once per repetition, exactly as
 // in the parallel runs.
 func (j RangeJob) Serial() int64 {
-	var total int64
-	for r := int64(0); r < reps(j.Reps); r++ {
+	return sumReps(j.Reps, func() int64 {
+		var total int64
 		for i := int64(0); i < j.N; i++ {
 			total += j.Leaf(i)
 		}
-	}
-	return total
+		return total
+	})
 }

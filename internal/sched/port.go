@@ -23,14 +23,6 @@ type Task2[W any] interface {
 	Join(W) int64
 }
 
-// TaskC2 is a task definition over a typed context pointer and two
-// int64 arguments.
-type TaskC2[W, C any] interface {
-	Spawn(W, *C, int64, int64)
-	Call(W, *C, int64, int64) int64
-	Join(W) int64
-}
-
 // TaskC3 is a task definition over a typed context pointer and three
 // int64 arguments (the shape cholesky needs).
 type TaskC3[W, C any] interface {

@@ -18,13 +18,16 @@
 //     workload's divide-and-conquer body (a RecJob or RangeJob,
 //     written once) for that backend.
 //
-// Adding a scheduler is one package plus one Register call; the
-// conformance suite (conformance_test.go), cmd/woolrun and the
-// experiment harness pick it up by enumerating the registry.
+// Every backend with a native pool is data: one backend[P] table entry
+// (name, blurb, Caps, the Options and counter mappings, the job entry
+// points) served by one generic pool type, so adding a scheduler is
+// one package plus one table entry; the conformance suite
+// (conformance_test.go), cmd/woolrun and the experiment harness pick
+// it up by enumerating the registry.
 package sched
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"gowool/internal/chaos"
@@ -186,42 +189,32 @@ type Scheduler interface {
 	NewPool(Options) Pool
 }
 
-// The registry. Entries are kept in presentation order: the paper's
-// system order (Wool first, then the baselines), then external
-// additions in registration order.
+// The registry, in presentation order: the paper's system order (Wool
+// first, then the baselines) as registered by this package's init,
+// then external additions in registration order.
 var (
-	registry []entry
+	registry []Scheduler
 	byName   = map[string]Scheduler{}
 )
 
-type entry struct {
-	s    Scheduler
-	rank int
+func init() {
+	for _, s := range []Scheduler{wool, woolgen, chaselevBackend, lockBackend, cilk, omp, gonativeSched{}} {
+		Register(s)
+	}
 }
 
-// register adds s with an explicit presentation rank (package use).
-func register(s Scheduler, rank int) {
+// Register adds a scheduler to the registry (after the built-ins, in
+// registration order). It panics on a duplicate name.
+func Register(s Scheduler) {
 	if _, dup := byName[s.Name()]; dup {
 		panic("sched: duplicate scheduler " + s.Name())
 	}
-	registry = append(registry, entry{s, rank})
+	registry = append(registry, s)
 	byName[s.Name()] = s
-	sort.SliceStable(registry, func(i, j int) bool { return registry[i].rank < registry[j].rank })
 }
-
-// Register adds an externally defined scheduler to the registry (after
-// the built-ins, in registration order). It panics on a duplicate
-// name.
-func Register(s Scheduler) { register(s, 100+len(registry)) }
 
 // All returns the registered schedulers in presentation order.
-func All() []Scheduler {
-	out := make([]Scheduler, len(registry))
-	for i, e := range registry {
-		out[i] = e.s
-	}
-	return out
-}
+func All() []Scheduler { return slices.Clone(registry) }
 
 // Lookup finds a scheduler by name.
 func Lookup(name string) (Scheduler, bool) {
@@ -232,8 +225,60 @@ func Lookup(name string) (Scheduler, bool) {
 // Names returns the registered names in presentation order.
 func Names() []string {
 	out := make([]string, len(registry))
-	for i, e := range registry {
-		out[i] = e.s.Name()
+	for i, s := range registry {
+		out[i] = s.Name()
 	}
 	return out
 }
+
+// nativePool is what pool wraps of a native pool; the native Run
+// signatures differ, so running a job is left to the backend entry.
+type nativePool interface {
+	Workers() int
+	Close()
+	ResetStats()
+}
+
+// backend is the registry entry of a scheduler with a native pool.
+// Everything backend-specific is data: the Options mapping, the
+// counter mapping and the job entry points.
+type backend[P nativePool] struct {
+	name, blurb string
+	caps        Caps
+	newPool     func(Options) P
+	stats       func(P) Stats
+	// runRec and runRange run a job's repetitions in one Run. Each
+	// builds its task definition itself (BuildRec(core.Define1, j)):
+	// behind a shared generic helper the builder and the Define
+	// constructor stop inlining, costing allocations per call.
+	runRec   func(P, RecJob) int64
+	runRange func(P, RangeJob) int64
+}
+
+func (b *backend[P]) Name() string  { return b.name }
+func (b *backend[P]) Blurb() string { return b.blurb }
+
+// Caps returns a copy whose policy and amount lists the caller may
+// modify.
+func (b *backend[P]) Caps() Caps {
+	c := b.caps
+	c.StealPolicies = slices.Clone(c.StealPolicies)
+	c.StealAmounts = slices.Clone(c.StealAmounts)
+	return c
+}
+
+func (b *backend[P]) NewPool(o Options) Pool { return &pool[P]{p: b.newPool(o), b: b} }
+
+// pool is the Pool of every backend entry.
+type pool[P nativePool] struct {
+	p P
+	b *backend[P]
+}
+
+func (p *pool[P]) Workers() int              { return p.p.Workers() }
+func (p *pool[P]) Close()                    { p.p.Close() }
+func (p *pool[P]) Native() any               { return p.p }
+func (p *pool[P]) ResetStats()               { p.p.ResetStats() }
+func (p *pool[P]) Stats() Stats              { return p.b.stats(p.p) }
+func (p *pool[P]) RunRec(j RecJob) int64     { return p.b.runRec(p.p, j) }
+func (p *pool[P]) RunRange(j RangeJob) int64 { return p.b.runRange(p.p, j) }

@@ -1,5 +1,7 @@
 package sched
 
+import "sort"
+
 // Stats is the normalized counter set. Each backend maps its native
 // counters onto these fields (the paper's notation in parentheses);
 // counters with no cross-scheduler meaning go to Extra under stable
@@ -49,14 +51,6 @@ func (s Stats) ExtraKeys() []string {
 	for k := range s.Extra {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	sort.Strings(keys)
 	return keys
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
