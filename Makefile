@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-fast lint-perfbudget bench registry-bench perfgate generate ci all trace-smoke fuzz-smoke chaos stealsweep stealsweep-smoke serve-smoke serve-soak perfbench-test
+.PHONY: build test race lint lint-fast lint-perfbudget registry-bench perfgate generate ci all trace-smoke fuzz-smoke chaos stealsweep stealsweep-smoke serve-smoke serve-soak perfbench-test
 
 all: build test lint
 
@@ -41,15 +41,12 @@ lint-fast:
 lint-perfbudget:
 	$(GO) run ./cmd/woolvet -only perfbudget -mlog woolvet-mlogs ./...
 
-# Machine-readable fast-path/idle-engine numbers for the perf
-# trajectory; commit the refreshed BENCH_core.json with perf PRs.
-bench:
-	$(GO) run ./cmd/woolbench -corejson BENCH_core.json
-
 # The registry benchmark suite: generic vs woolgen-generated spawn/join
-# ladder, steal latency, and fib(28) on every registered backend.
-# Refresh and commit BENCH_registry.json when a perf PR moves the
-# gated keys (the gate block inside the file defines what's enforced).
+# ladder, steal latency, fib(28) on every registered backend, and the
+# core idle engine (fib(28) parking on/off, region launch from a parked
+# pool, quiescent CPU, a counter sweep). Refresh and commit
+# BENCH_registry.json when a perf PR moves the gated keys (the gate
+# block inside the file defines what's enforced).
 registry-bench:
 	$(GO) run ./cmd/woolbench -registryjson BENCH_registry.json
 
@@ -77,10 +74,12 @@ generate:
 stealsweep:
 	$(GO) run ./cmd/woolbench -scale full -stealsweep BENCH_steal.json
 
-# CI smoke of the same sweep at quick scale: the grid must complete,
-# cover all four policies and both amounts, and the localized policy
-# must concentrate steals inside its neighborhood (local_frac 1 at 4
-# workers with neighborhood 2, where random leaves the neighborhood).
+# CI smoke of the same sweep at quick scale: the grid must complete
+# (every cell's result is checked against the serial reference) and
+# cover all four policies, both amounts and the simulator grid. It does
+# not check locality: on the quick 4-worker ring two of a thief's three
+# victims lie within the localized radius, so random's local_frac
+# (2/3 expected, over a few dozen steals) overlaps localized's.
 STEALSWEEP_JSON ?= /tmp/woolsteal-smoke.json
 stealsweep-smoke:
 	$(GO) run ./cmd/woolbench -scale quick -stealsweep $(STEALSWEEP_JSON)
@@ -94,27 +93,25 @@ stealsweep-smoke:
 # CI smoke of the woolserve benchmark (DESIGN.md §16-17) at quick
 # scale: the serving layer must complete the full request stream on
 # both direct-task-stack port layers, the report must carry the schema
-# tag and latency percentiles, the mixed-cancellation cell must have
-# actually cancelled requests mid-flight (the abort/Reset path ran
-# inside the measured stream), the overload cell must have shed load
-# (shed_rate is omitted when zero), and the breaker cell must have
-# measured a recovery.
+# tag and latency percentiles, the overload cell must have shed load
+# and the breaker cell must have measured a recovery (shed_rate and
+# recovery_ms are recorded only when non-zero). woolbench itself fails
+# when a mixed-cancellation cell cancelled no request mid-flight (the
+# abort/Reset path must run inside the measured stream).
 SERVEBENCH_JSON ?= /tmp/woolserve-smoke.json
 serve-smoke:
 	$(GO) run ./cmd/woolbench -scale quick -serve $(SERVEBENCH_JSON)
-	grep -q '"schema": "wool-serve-bench/v2"' $(SERVEBENCH_JSON)
+	grep -q '"schema": "woolbench/v1"' $(SERVEBENCH_JSON)
 	grep -q '"backend": "wool"' $(SERVEBENCH_JSON)
 	grep -q '"backend": "woolgen"' $(SERVEBENCH_JSON)
 	grep -q '"workload": "mixed-cancel"' $(SERVEBENCH_JSON)
 	grep -q '"workload": "overload-2x"' $(SERVEBENCH_JSON)
 	grep -q '"workload": "breaker-recovery"' $(SERVEBENCH_JSON)
-	grep -q '"lat_p50_us"' $(SERVEBENCH_JSON)
-	grep -q '"lat_p99_us"' $(SERVEBENCH_JSON)
-	grep -q '"req_per_s"' $(SERVEBENCH_JSON)
-	grep -q '"shed_rate"' $(SERVEBENCH_JSON)
-	grep -q '"recovery_ms"' $(SERVEBENCH_JSON)
-	@grep -v '"cancelled": 0' $(SERVEBENCH_JSON) | grep -q '"cancelled"' \
-		|| { echo "serve-smoke: no cell cancelled any request mid-flight"; exit 1; }
+	grep -q '"key": "lat_p50_us"' $(SERVEBENCH_JSON)
+	grep -q '"key": "lat_p99_us"' $(SERVEBENCH_JSON)
+	grep -q '"key": "req_per_s"' $(SERVEBENCH_JSON)
+	grep -q '"key": "shed_rate"' $(SERVEBENCH_JSON)
+	grep -q '"key": "recovery_ms"' $(SERVEBENCH_JSON)
 
 # The self-healing soak (DESIGN.md §17): a seeded mixed workload —
 # healthy tenants at ~1.5x capacity, a panicking tenant, a slow tenant

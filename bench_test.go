@@ -217,44 +217,6 @@ func BenchmarkSpawnJoin(b *testing.B) {
 	})
 }
 
-// BenchmarkSpawnJoinPrivate is the tracked fast-path guard: one
-// private spawn+join pair (plain loads and stores only — with the
-// owner-side publicLimit shadow, zero atomic operations), measured
-// past the InitialPublic prefix and reporting allocations (the gate:
-// 0 allocs/op).
-func BenchmarkSpawnJoinPrivate(b *testing.B) {
-	p := gowool.NewPool(gowool.Options{Workers: 1, PrivateTasks: true})
-	defer p.Close()
-	noop := gowool.Define1("noop", func(w *gowool.Worker, x int64) int64 { return x })
-	b.ReportAllocs()
-	p.Run(func(w *gowool.Worker) int64 {
-		atDepth(b, w, noop, func() {
-			for i := 0; i < b.N; i++ {
-				noop.Spawn(w, 1)
-				noop.Join(w)
-			}
-		})
-		return 0
-	})
-}
-
-// BenchmarkSpawnJoinPublic is the public-descriptor pair: the join
-// pays its atomic exchange, the spawn still avoids atomic loads.
-func BenchmarkSpawnJoinPublic(b *testing.B) {
-	p := gowool.NewPool(gowool.Options{Workers: 1})
-	defer p.Close()
-	noop := gowool.Define1("noop", func(w *gowool.Worker, x int64) int64 { return x })
-	b.ReportAllocs()
-	b.ResetTimer()
-	p.Run(func(w *gowool.Worker) int64 {
-		for i := 0; i < b.N; i++ {
-			noop.Spawn(w, 1)
-			noop.Join(w)
-		}
-		return 0
-	})
-}
-
 // BenchmarkIdleWake measures launching a small parallel region against
 // a pool whose thief has parked on the idle engine, so each iteration
 // pays the park→wake→steal round trip on top of the region itself.

@@ -1,82 +1,25 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"testing"
 	"time"
 
 	"gowool/internal/core"
-	"gowool/internal/trace"
 	"gowool/internal/workloads/fibw"
 	"gowool/internal/workloads/stress"
 )
 
-// coreBenchReport is the machine-readable perf snapshot written by
-// -corejson. Future PRs diff these files to track the fast-path and
-// idle-engine trajectory.
-type coreBenchReport struct {
-	GoVersion  string             `json:"go_version"`
-	GOOS       string             `json:"goos"`
-	GOARCH     string             `json:"goarch"`
-	NumCPU     int                `json:"num_cpu"`
-	GOMAXPROCS int                `json:"gomaxprocs"`
-	Benchmarks map[string]float64 `json:"benchmarks"`
-	Counters   map[string]int64   `json:"counters"`
-	Notes      map[string]string  `json:"notes"`
-}
-
-// spawnJoinNs measures one spawn+join pair on a single-worker pool
-// (Table II's ladder, but against the live tree) in ns/op. On a
-// private-task pool the pair is measured past the InitialPublic prefix
-// (the first descriptors of a run are public even with PrivateTasks
-// on), so the private number is the plain-stores path, not the
-// public-slot path that depth 0 lands on.
-func spawnJoinNs(private bool) float64 {
-	p := core.NewPool(core.Options{Workers: 1, PrivateTasks: private})
-	defer p.Close()
-	noop := core.Define1("noop", func(w *core.Worker, x int64) int64 { return x })
-	depth := 0
-	if private {
-		depth = 4
-	}
-	r := testing.Benchmark(func(b *testing.B) {
-		p.Run(func(w *core.Worker) int64 {
-			for i := 0; i < depth; i++ {
-				noop.Spawn(w, 0)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				noop.Spawn(w, 1)
-				noop.Join(w)
-			}
-			b.StopTimer()
-			for i := 0; i < depth; i++ {
-				noop.Join(w)
-			}
-			return 0
-		})
-	})
-	return float64(r.T.Nanoseconds()) / float64(r.N)
-}
-
-// fibWallMs runs fib(n) on a private-task pool and returns the best
-// wall time in ms across reps, with parking forced to the given mode.
-func fibWallMs(workers int, mode core.ParkMode, n int64, reps int) float64 {
+// fibWallMs runs fib(n) reps times on a private-task pool with
+// parking forced to the given mode and returns each run's wall ms.
+func fibWallMs(workers int, mode core.ParkMode, n int64, reps int) []float64 {
 	p := core.NewPool(core.Options{Workers: workers, PrivateTasks: true, Parking: mode})
 	defer p.Close()
 	fib := fibw.NewWool()
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < reps; i++ {
-		t0 := time.Now()
+	samples, _ := timeMs(reps, func() error {
 		p.Run(func(w *core.Worker) int64 { return fib.Call(w, n) })
-		if d := time.Since(t0); d < best {
-			best = d
-		}
-	}
-	return float64(best) / float64(time.Millisecond)
+		return nil
+	})
+	return samples
 }
 
 // waitParked polls until at least n workers are parked or the deadline
@@ -166,104 +109,49 @@ func coreCounters() core.Stats {
 	return p.Stats()
 }
 
-// tracedFibRep runs one repetition of fib(n) on its own traced pool
-// and writes the Chrome trace to path. The pool is separate from the
-// timed ones and the repetition is never measured, so tracing cost
-// (enabled-path records, the JSON export) cannot contaminate the
-// benchmark numbers — only the first, throwaway repetition is traced.
-func tracedFibRep(path string, workers int, n int64) error {
-	tr := trace.New(workers, 0)
-	p := core.NewPool(core.Options{Workers: workers, PrivateTasks: true, Trace: tr})
-	fib := fibw.NewWool()
-	p.Run(func(w *core.Worker) int64 { return fib.Call(w, n) })
-	p.Close()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// runCoreBench produces BENCH_core.json: the native fast-path and
-// idle-engine numbers guarded by this repo's acceptance criteria.
-// When tracePath is non-empty, one extra untimed fib repetition runs
-// on a traced pool first and its Chrome trace is written there.
-func runCoreBench(path, tracePath string) error {
-	gmp := runtime.GOMAXPROCS(0)
-	if gmp < 4 {
-		runtime.GOMAXPROCS(4)
-		defer runtime.GOMAXPROCS(gmp)
-	}
-	rep := coreBenchReport{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Benchmarks: map[string]float64{},
-		Counters:   map[string]int64{},
-		Notes: map[string]string{
-			"spawn_join":  "ns per spawn+join pair, single worker (Table II ladder); the private key is measured at depth 4, past the InitialPublic prefix",
-			"fib28":       "best-of-3 wall ms, fib(28), 4 workers, private tasks",
-			"idle_region": "µs per small stress region: launched against a fully parked pool vs warm",
-			"idle_cpu":    "process CPU ms consumed over a 200ms quiescent window, 8 workers",
-		},
-	}
-
-	fmt.Println("core: spawn/join ladder")
-	rep.Benchmarks["spawn_join_private_ns"] = spawnJoinNs(true)
-	rep.Benchmarks["spawn_join_public_ns"] = spawnJoinNs(false)
-
-	if tracePath != "" {
-		fmt.Println("core: traced fib repetition (untimed)")
-		if err := tracedFibRep(tracePath, 4, 28); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", tracePath)
-	}
-
+// coreRecords measures what only the core pool exposes: fib(28) with
+// parking on vs off, region launch from a parked vs warm pool,
+// quiescent CPU parked vs sleep-polling, and the scheduler counters of
+// a steal-heavy stress sweep.
+func coreRecords() []record {
 	fmt.Println("core: fib(28) parking on vs off")
-	rep.Benchmarks["fib28_parking_on_ms"] = fibWallMs(4, core.ParkOn, 28, 3)
-	rep.Benchmarks["fib28_parking_off_ms"] = fibWallMs(4, core.ParkOff, 28, 3)
+	recs := []record{
+		bestOf("fib28_parking_on_ms", "ms", fibWallMs(4, core.ParkOn, 28, 3), labels{}),
+		bestOf("fib28_parking_off_ms", "ms", fibWallMs(4, core.ParkOff, 28, 3), labels{}),
+	}
 
 	fmt.Println("core: wake latency")
 	if parked, warm, ok := idleWakeUs(); ok {
-		rep.Benchmarks["region_from_parked_us"] = parked
-		rep.Benchmarks["region_warm_us"] = warm
+		recs = append(recs,
+			record{Key: "region_from_parked_us", Unit: "us", Value: parked},
+			record{Key: "region_warm_us", Unit: "us", Value: warm})
 	}
 
 	fmt.Println("core: quiescent CPU")
 	if ms, ok := idleCPUMs(core.ParkOn, true); ok {
-		rep.Benchmarks["idle_cpu_parked_ms"] = ms
+		recs = append(recs, record{Key: "idle_cpu_parked_ms", Unit: "ms", Value: ms})
 	}
 	if ms, ok := idleCPUMs(core.ParkOff, false); ok {
-		rep.Benchmarks["idle_cpu_sleep_poll_ms"] = ms
+		recs = append(recs, record{Key: "idle_cpu_sleep_poll_ms", Unit: "ms", Value: ms})
 	}
 
 	fmt.Println("core: counter sweep (stress, tight public boundary)")
 	st := coreCounters()
-	rep.Counters["spawns"] = st.Spawns
-	rep.Counters["steals"] = st.Steals
-	rep.Counters["steal_attempts"] = st.StealAttempts
-	rep.Counters["backoffs"] = st.Backoffs
-	rep.Counters["publications"] = st.Publications
-	rep.Counters["privatizations"] = st.Privatizations
-	rep.Counters["retained_steals"] = st.RetainedSteals
-	rep.Counters["parks"] = st.Parks
-	rep.Counters["wakes"] = st.Wakes
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
+	for _, c := range []struct {
+		key string
+		v   int64
+	}{
+		{"spawns", st.Spawns},
+		{"steals", st.Steals},
+		{"steal_attempts", st.StealAttempts},
+		{"backoffs", st.Backoffs},
+		{"publications", st.Publications},
+		{"privatizations", st.Privatizations},
+		{"retained_steals", st.RetainedSteals},
+		{"parks", st.Parks},
+		{"wakes", st.Wakes},
+	} {
+		recs = append(recs, record{Key: c.key, Unit: "count", Value: float64(c.v), Labels: labels{Workload: "stress"}})
 	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
+	return recs
 }

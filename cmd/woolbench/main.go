@@ -6,10 +6,10 @@
 //
 //	woolbench [-scale quick|full] [experiment ...]
 //	woolbench -list
-//	woolbench -corejson BENCH_core.json
 //	woolbench -registryjson BENCH_registry.json
 //	woolbench -perfgate BENCH_registry.json
 //	woolbench [-scale quick|full] -stealsweep BENCH_steal.json
+//	woolbench [-scale quick|full] -serve BENCH_serve.json
 //
 // With no experiment arguments every experiment runs in order. The
 // multi-processor experiments run on the deterministic virtual-time
@@ -29,9 +29,7 @@ import (
 func main() {
 	scaleFlag := flag.String("scale", "quick", "input scale: quick or full")
 	list := flag.Bool("list", false, "list experiments and exit")
-	coreJSON := flag.String("corejson", "", "run the native core fast-path/idle-engine benchmarks and write machine-readable results to FILE")
-	benchTrace := flag.String("trace", "", "with -corejson: record one extra untimed fib repetition on a traced pool and write the Chrome trace to FILE")
-	registryJSON := flag.String("registryjson", "", "run the registry benchmarks (generic vs generated ladder, steal latency, fib(28) per backend) and write machine-readable results to FILE")
+	registryJSON := flag.String("registryjson", "", "run the registry benchmarks (generic vs generated ladder, steal latency, fib(28) per backend, core idle-engine numbers) and write machine-readable results to FILE")
 	perfgate := flag.String("perfgate", "", "re-measure the gated benchmark keys and fail on regression against the committed baseline FILE")
 	stealsweep := flag.String("stealsweep", "", "run the steal-policy sweep (policy × amount × backend × workload natively, plus the sharded-topology simulator grid) and write machine-readable results to FILE; honours -scale")
 	serveBench := flag.String("serve", "", "run the woolserve request-serving benchmark (throughput and latency percentiles per backend, with a mid-flight-cancellation mix) and write machine-readable results to FILE; honours -scale")
@@ -46,14 +44,6 @@ func main() {
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-8s %-12s %s\n", e.ID, e.Paper, e.Title)
-		}
-		return
-	}
-
-	if *coreJSON != "" {
-		if err := runCoreBench(*coreJSON, *benchTrace); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
 		}
 		return
 	}

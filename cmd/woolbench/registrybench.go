@@ -1,10 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -16,44 +16,6 @@ import (
 	"gowool/internal/sched"
 	"gowool/internal/workloads/fibw"
 )
-
-// registryBenchReport is the machine-readable snapshot written by
-// -registryjson and read back by -perfgate. The Gate block makes the
-// file self-describing: it names the keys the CI perf gate re-measures
-// and the regression tolerance they are held to, so tightening or
-// widening the gate is a change to the committed baseline, not to the
-// harness.
-type registryBenchReport struct {
-	GoVersion  string             `json:"go_version"`
-	GOOS       string             `json:"goos"`
-	GOARCH     string             `json:"goarch"`
-	NumCPU     int                `json:"num_cpu"`
-	GOMAXPROCS int                `json:"gomaxprocs"`
-	Benchmarks map[string]float64 `json:"benchmarks"`
-	Gate       perfGate           `json:"gate"`
-	Notes      map[string]string  `json:"notes"`
-}
-
-// perfGate is the committed contract the CI perf gate enforces.
-type perfGate struct {
-	// Keys are the benchmark keys re-measured and compared against the
-	// committed baseline values.
-	Keys []string `json:"keys"`
-	// Tolerance is the allowed relative regression per key (0.05 =
-	// fail when a key is more than 5% slower than the baseline).
-	// WOOL_PERFGATE_TOLERANCE overrides it for noisy runners.
-	Tolerance float64 `json:"tolerance"`
-	// Ceilings are absolute bounds in the key's own unit, enforced on
-	// the freshly measured value regardless of the baseline — the
-	// repo's acceptance criteria, machine-independent only in so far
-	// as the bound was chosen with headroom.
-	Ceilings map[string]float64 `json:"ceilings,omitempty"`
-	// MaxGeneratedOverGeneric bounds the machine-independent ratio
-	// spawn_join_generated_private_ns / spawn_join_generic_private_ns:
-	// the monomorphic path must never fall behind the generic path it
-	// specializes (1.10 leaves room for timer noise).
-	MaxGeneratedOverGeneric float64 `json:"max_generated_over_generic"`
-}
 
 const (
 	// ladderDepth places the measured spawn/join pair past the public
@@ -69,17 +31,15 @@ const (
 
 // ladder runs one spawn/join micro benchmark on a single-worker pool:
 // pair is invoked b.N times at ladderDepth (private pools) or depth 0
-// (public pools), and the result is ns per pair. Returns the best of
-// three runs — the scheduler has no slow warm-up, so min is the
-// noise-robust estimator.
-func ladder(private bool, pairs int, pair func(w *core.Worker)) float64 {
+// (public pools). Returns ns per pair for each of three runs.
+func ladder(private bool, pairs int, pair func(w *core.Worker)) []float64 {
 	p := core.NewPool(core.Options{Workers: 1, PrivateTasks: private})
 	defer p.Close()
 	depth := 0
 	if private {
 		depth = ladderDepth
 	}
-	best := 0.0
+	var samples []float64
 	for rep := 0; rep < 3; rep++ {
 		r := testing.Benchmark(func(b *testing.B) {
 			p.Run(func(w *core.Worker) int64 {
@@ -97,46 +57,52 @@ func ladder(private bool, pairs int, pair func(w *core.Worker)) float64 {
 				return 0
 			})
 		})
-		ns := float64(r.T.Nanoseconds()) / float64(r.N) / float64(pairs)
-		if rep == 0 || ns < best {
-			best = ns
-		}
+		samples = append(samples, float64(r.T.Nanoseconds())/float64(r.N)/float64(pairs))
 	}
-	return best
+	return samples
 }
 
 // genericNoop is the generic-path rung's task definition.
 var genericNoop = core.Define1("noop", func(w *core.Worker, x int64) int64 { return x })
 
-func measureLadderKey(key string) (float64, bool) {
-	switch key {
-	case "spawn_join_generic_private_ns":
-		return ladder(true, 1, func(w *core.Worker) {
-			genericNoop.Spawn(w, 1)
-			genericNoop.Join(w)
-		}), true
-	case "spawn_join_generated_private_ns":
-		return ladder(true, 1, func(w *core.Worker) {
-			ports.SpawnNoop(w, 1)
-			ports.JoinNoop(w)
-		}), true
-	case "spawn_join_generic_public_ns":
-		return ladder(false, 1, func(w *core.Worker) {
-			genericNoop.Spawn(w, 1)
-			genericNoop.Join(w)
-		}), true
-	case "spawn_join_generated_public_ns":
-		return ladder(false, 1, func(w *core.Worker) {
-			ports.SpawnNoop(w, 1)
-			ports.JoinNoop(w)
-		}), true
-	case "spawn_join_generated_batch_ns":
-		return ladder(true, batchWindow, func(w *core.Worker) {
-			ports.SpawnNoopN(w, 0, batchWindow)
-			ports.JoinNoopN(w, batchWindow)
-		}), true
+func genericPair(w *core.Worker) {
+	genericNoop.Spawn(w, 1)
+	genericNoop.Join(w)
+}
+
+func generatedPair(w *core.Worker) {
+	ports.SpawnNoop(w, 1)
+	ports.JoinNoop(w)
+}
+
+// ladderRung is one spawn/join rung: pair runs pairs spawn+join pairs
+// on a private-task (private) or all-public pool.
+type ladderRung struct {
+	private bool
+	pairs   int
+	pair    func(w *core.Worker)
+}
+
+// ladderRungs holds the measurement procedure of every ladder key.
+var ladderRungs = map[string]ladderRung{
+	"spawn_join_generic_private_ns":   {true, 1, genericPair},
+	"spawn_join_generated_private_ns": {true, 1, generatedPair},
+	"spawn_join_generic_public_ns":    {false, 1, genericPair},
+	"spawn_join_generated_public_ns":  {false, 1, generatedPair},
+	"spawn_join_generated_batch_ns": {true, batchWindow, func(w *core.Worker) {
+		ports.SpawnNoopN(w, 0, batchWindow)
+		ports.JoinNoopN(w, batchWindow)
+	}},
+}
+
+// measureLadderKey runs key's rung and returns its ns-per-pair
+// samples; ok is false when key has no measurement procedure.
+func measureLadderKey(key string) (samples []float64, ok bool) {
+	r, ok := ladderRungs[key]
+	if !ok {
+		return nil, false
 	}
-	return 0, false
+	return ladder(r.private, r.pairs, r.pair), true
 }
 
 // stealLatencyUs measures publication-to-execution latency on a
@@ -179,27 +145,32 @@ func stealLatencyUs() (float64, bool) {
 	return float64(total) / float64(n) / float64(time.Microsecond), true
 }
 
-// fibBackendMs times fib(28) once-per-run on a registered backend and
-// returns the best wall time in ms over reps, checking the result
-// against the serial reference.
-func fibBackendMs(s sched.Scheduler, reps int) (float64, error) {
+// fibBackendMs times fib(28) via the registry's RunRec on a backend,
+// reps times, checking each result against the serial reference.
+func fibBackendMs(s sched.Scheduler, reps int) ([]float64, error) {
 	pool := s.NewPool(sched.Options{Workers: 4, PrivateTasks: true})
 	defer pool.Close()
 	job := fibw.Job(28, 1)
 	want := fibw.Serial(28)
-	best := time.Duration(1<<63 - 1)
+	return timeMs(reps, func() error {
+		if got := pool.RunRec(job); got != want {
+			return fmt.Errorf("%s: fib(28) = %d, want %d", s.Name(), got, want)
+		}
+		return nil
+	})
+}
+
+// timeMs runs f reps times and returns each run's wall time in ms.
+func timeMs(reps int, f func() error) ([]float64, error) {
+	var samples []float64
 	for i := 0; i < reps; i++ {
 		t0 := time.Now()
-		got := pool.RunRec(job)
-		d := time.Since(t0)
-		if got != want {
-			return 0, fmt.Errorf("%s: fib(28) = %d, want %d", s.Name(), got, want)
+		if err := f(); err != nil {
+			return nil, err
 		}
-		if d < best {
-			best = d
-		}
+		samples = append(samples, float64(time.Since(t0))/float64(time.Millisecond))
 	}
-	return float64(best) / float64(time.Millisecond), nil
+	return samples, nil
 }
 
 // gateKeys is the set the perf gate re-measures: the single-worker
@@ -215,22 +186,14 @@ var gateKeys = []string{
 }
 
 // runRegistryBench produces BENCH_registry.json: the generic-vs-
-// generated ladder, steal latency, and fib(28) wall time on every
-// registered backend.
+// generated ladder, steal latency, fib(28) wall time on every
+// registered backend, and the core idle-engine measurements.
 func runRegistryBench(path string) error {
-	gmp := runtime.GOMAXPROCS(0)
-	if gmp < 4 {
-		runtime.GOMAXPROCS(4)
-		defer runtime.GOMAXPROCS(gmp)
-	}
-	rep := registryBenchReport{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Benchmarks: map[string]float64{},
-		Gate: perfGate{
+	e, restore := benchEnv(4, "")
+	defer restore()
+	rep := &report{
+		Env: e,
+		Gate: &gate{
 			Keys:                    gateKeys,
 			Tolerance:               0.05,
 			Ceilings:                map[string]float64{"spawn_join_generated_private_ns": 15},
@@ -241,19 +204,24 @@ func runRegistryBench(path string) error {
 			"steal_latency": "µs from publishing a task to the thief executing it, 2 workers, includes wake-from-idle",
 			"fib28":         "best-of-2 wall ms, fib(28) via the registry's RunRec, 4 workers",
 			"gate":          "make perfgate re-measures gate.keys and fails on >tolerance regression vs this file; override with WOOL_PERFGATE_TOLERANCE=0.15 on noisy runners or skip with WOOL_PERFGATE_SKIP=1",
+			"fib28_parking": "best-of-3 wall ms, fib(28), 4 workers, private tasks, hand-written wool kernel with parking forced on or off",
+			"idle_region":   "µs per small stress region: launched against a fully parked pool vs warm",
+			"idle_cpu":      "process CPU ms consumed over a 200ms quiescent window, 8 workers",
+			"counters":      "scheduler counters over 10 stress(8,256)x4 regions on 4 private-task workers with a tight public boundary, parking between regions",
 		},
 	}
 
 	fmt.Println("registry: spawn/join ladder (generic vs generated)")
 	for _, key := range gateKeys {
-		v, _ := measureLadderKey(key)
-		rep.Benchmarks[key] = v
-		fmt.Printf("  %-36s %8.2f\n", key, v)
+		samples, _ := measureLadderKey(key)
+		r := bestOf(key, "ns", samples, labels{})
+		rep.Records = append(rep.Records, r)
+		fmt.Printf("  %-36s %8.2f\n", key, r.Value)
 	}
 
 	fmt.Println("registry: steal latency")
 	if us, ok := stealLatencyUs(); ok {
-		rep.Benchmarks["steal_latency_us"] = us
+		rep.Records = append(rep.Records, record{Key: "steal_latency_us", Unit: "us", Value: us})
 		fmt.Printf("  %-36s %8.2f\n", "steal_latency_us", us)
 	} else {
 		fmt.Println("  steal_latency_us: no round completed; omitted")
@@ -261,25 +229,20 @@ func runRegistryBench(path string) error {
 
 	fmt.Println("registry: fib(28) per backend")
 	for _, s := range sched.All() {
-		ms, err := fibBackendMs(s, 2)
+		samples, err := fibBackendMs(s, 2)
 		if err != nil {
 			return err
 		}
-		key := "fib28_" + s.Name() + "_ms"
-		rep.Benchmarks[key] = ms
-		fmt.Printf("  %-36s %8.1f\n", key, ms)
+		r := bestOf("fib28_ms", "ms", samples, labels{Backend: s.Name()})
+		rep.Records = append(rep.Records, r)
+		fmt.Printf("  %-36s %8.1f\n", "fib28_ms "+s.Name(), r.Value)
 	}
 
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
+	for _, r := range coreRecords() {
+		rep.Records = append(rep.Records, r)
+		fmt.Printf("  %-36s %8.2f\n", r.Key, r.Value)
 	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
+	return writeReport(path, rep)
 }
 
 // runPerfGate re-measures the baseline's gate keys and fails on
@@ -290,13 +253,12 @@ func runPerfGate(path string) error {
 		fmt.Println("perfgate: skipped (WOOL_PERFGATE_SKIP=1)")
 		return nil
 	}
-	raw, err := os.ReadFile(path)
+	base, err := readReport(path)
 	if err != nil {
 		return fmt.Errorf("perfgate: reading baseline: %w", err)
 	}
-	var base registryBenchReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("perfgate: parsing baseline %s: %w", path, err)
+	if base.Gate == nil {
+		return fmt.Errorf("perfgate: baseline %s has no gate", path)
 	}
 	tol := base.Gate.Tolerance
 	if s := os.Getenv("WOOL_PERFGATE_TOLERANCE"); s != "" {
@@ -307,11 +269,8 @@ func runPerfGate(path string) error {
 		tol = v
 	}
 
-	gmp := runtime.GOMAXPROCS(0)
-	if gmp < 4 {
-		runtime.GOMAXPROCS(4)
-		defer runtime.GOMAXPROCS(gmp)
-	}
+	_, restore := benchEnv(4, "")
+	defer restore()
 
 	measured := map[string]float64{}
 	var failures []string
@@ -319,17 +278,19 @@ func runPerfGate(path string) error {
 	sort.Strings(keys)
 	fmt.Printf("perfgate: baseline %s, tolerance %.0f%%\n", path, tol*100)
 	for _, key := range keys {
-		now, ok := measureLadderKey(key)
+		samples, ok := measureLadderKey(key)
 		if !ok {
 			failures = append(failures, fmt.Sprintf("%s: gated key has no measurement procedure in this binary", key))
 			continue
 		}
+		now := slices.Min(samples)
 		measured[key] = now
-		was, ok := base.Benchmarks[key]
+		b, ok := base.find(key, labels{})
 		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: gated key missing from baseline benchmarks", key))
+			failures = append(failures, fmt.Sprintf("%s: gated key missing from baseline records", key))
 			continue
 		}
+		was := b.Value
 		delta := (now - was) / was
 		status := "ok"
 		if now > was*(1+tol) {

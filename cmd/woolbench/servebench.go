@@ -2,11 +2,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -31,55 +28,57 @@ import (
 // rate, and breaker-recovery trips a tenant's circuit breaker and
 // reports how long the server takes to let healthy traffic back in.
 
-// serveBenchSchema versions the report shape for downstream readers
-// (make serve-smoke greps it). v2 added the overload-2x and
-// breaker-recovery cells with their rejected/shed_rate/recovery_ms
-// fields.
-const serveBenchSchema = "wool-serve-bench/v2"
-
-// serveReport is the machine-readable output of -serve.
-type serveReport struct {
-	Schema     string            `json:"schema"`
-	GoVersion  string            `json:"go_version"`
-	GOOS       string            `json:"goos"`
-	GOARCH     string            `json:"goarch"`
-	NumCPU     int               `json:"num_cpu"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	Scale      string            `json:"scale"`
-	Cells      []serveCell       `json:"cells"`
-	Notes      map[string]string `json:"notes"`
-}
-
 // serveCell is one backend × workload stream measurement.
 type serveCell struct {
-	Backend   string `json:"backend"`
-	Workload  string `json:"workload"`
-	Workers   int    `json:"workers"`
-	LaneWidth int    `json:"lane_width"`
-	Clients   int    `json:"clients"`
-	Requests  int    `json:"requests"`
-	Completed int    `json:"completed"`
-	Cancelled int    `json:"cancelled"`
+	labels
+	Clients   int
+	Requests  int
+	Completed int
+	Cancelled int
 	// ReqPerS is completed+cancelled requests over the stream's
 	// wall-clock (a cancelled request still occupies its lane until
 	// the abort unwinds, so it belongs in the service rate).
-	ReqPerS float64 `json:"req_per_s"`
+	ReqPerS float64
 	// Latency percentiles over the COMPLETED requests' submit-to-
 	// finish time (queueing included — this is a serving benchmark).
-	LatP50Us float64 `json:"lat_p50_us"`
-	LatP90Us float64 `json:"lat_p90_us"`
-	LatP99Us float64 `json:"lat_p99_us"`
+	LatP50Us, LatP90Us, LatP99Us float64
 	// Resilience-cell fields (overload-2x, breaker-recovery); zero and
-	// omitted on the throughput cells.
+	// not recorded on the throughput cells.
 	//
 	// Rejected counts submissions shed by admission control; ShedRate
 	// is Rejected over all submission attempts (overload-2x).
-	Rejected int     `json:"rejected,omitempty"`
-	ShedRate float64 `json:"shed_rate,omitempty"`
+	Rejected int
+	ShedRate float64
 	// RecoveryMs is breaker-recovery's headline: the time from the
 	// circuit opening to the first healthy completion flowing again
 	// (≈ the breaker cooldown plus the half-open probe's service time).
-	RecoveryMs float64 `json:"recovery_ms,omitempty"`
+	RecoveryMs float64
+}
+
+func (c serveCell) records() []record {
+	recs := []record{
+		{Key: "clients", Unit: "count", Value: float64(c.Clients)},
+		{Key: "requests", Unit: "count", Value: float64(c.Requests)},
+		{Key: "completed", Unit: "count", Value: float64(c.Completed)},
+		{Key: "cancelled", Unit: "count", Value: float64(c.Cancelled)},
+		{Key: "req_per_s", Unit: "1/s", Value: c.ReqPerS},
+		{Key: "lat_p50_us", Unit: "us", Value: c.LatP50Us},
+		{Key: "lat_p90_us", Unit: "us", Value: c.LatP90Us},
+		{Key: "lat_p99_us", Unit: "us", Value: c.LatP99Us},
+	}
+	for _, r := range []record{
+		{Key: "rejected", Unit: "count", Value: float64(c.Rejected)},
+		{Key: "shed_rate", Unit: "ratio", Value: c.ShedRate},
+		{Key: "recovery_ms", Unit: "ms", Value: c.RecoveryMs},
+	} {
+		if r.Value != 0 {
+			recs = append(recs, r)
+		}
+	}
+	for i := range recs {
+		recs[i].Labels = c.labels
+	}
+	return recs
 }
 
 // serveWorkload describes one request stream shape.
@@ -123,20 +122,14 @@ func runServeBench(path string, full bool) error {
 		requests = 4000
 		scale = "full"
 	}
-	gmp := runtime.GOMAXPROCS(0)
-	if gmp < workers {
-		runtime.GOMAXPROCS(workers)
-		defer runtime.GOMAXPROCS(gmp)
-	}
-
-	rep := serveReport{
-		Schema:     serveBenchSchema,
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Scale:      scale,
+	e, restore := benchEnv(workers, scale)
+	defer restore()
+	rep := &report{
+		Env: e,
+		Records: []record{
+			{Key: "workers", Unit: "count", Value: workers},
+			{Key: "lane_width", Unit: "count", Value: laneWidth},
+		},
 		Notes: map[string]string{
 			"setup":    fmt.Sprintf("%d closed-loop clients over a %d-worker server (lane width %d); latency percentiles over completed requests, submit to finish", clients, workers, laneWidth),
 			"mixed":    "the mixed cell gives 1 in 4 requests a 1-2ms deadline over a slow spinning job, so mid-flight aborts and pool Resets happen inside the measured stream",
@@ -173,7 +166,10 @@ func runServeBench(path string, full bool) error {
 			if wl.name == "fib16" {
 				capacity = cell.ReqPerS
 			}
-			rep.Cells = append(rep.Cells, cell)
+			if wl.name == "mixed-cancel" && cell.Cancelled == 0 {
+				return fmt.Errorf("%s/mixed-cancel: no request was cancelled mid-flight", backend)
+			}
+			rep.Records = append(rep.Records, cell.records()...)
 			fmt.Printf("  %-8s %-16s %8.0f req/s  p50=%-8.1fus p90=%-8.1fus p99=%-8.1fus completed=%d cancelled=%d\n",
 				cell.Backend, cell.Workload, cell.ReqPerS, cell.LatP50Us, cell.LatP90Us, cell.LatP99Us,
 				cell.Completed, cell.Cancelled)
@@ -182,35 +178,24 @@ func runServeBench(path string, full bool) error {
 		if err != nil {
 			return err
 		}
-		rep.Cells = append(rep.Cells, oc)
+		rep.Records = append(rep.Records, oc.records()...)
 		fmt.Printf("  %-8s %-16s %8.0f req/s  p50=%-8.1fus p99=%-8.1fus shed_rate=%.2f rejected=%d\n",
 			oc.Backend, oc.Workload, oc.ReqPerS, oc.LatP50Us, oc.LatP99Us, oc.ShedRate, oc.Rejected)
 		bc, err := runBreakerCell(backend, workers, laneWidth)
 		if err != nil {
 			return err
 		}
-		rep.Cells = append(rep.Cells, bc)
+		rep.Records = append(rep.Records, bc.records()...)
 		fmt.Printf("  %-8s %-16s recovery=%.1fms rejected=%d (circuit open)\n",
 			bc.Backend, bc.Workload, bc.RecoveryMs, bc.Rejected)
 	}
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
+	return writeReport(path, rep)
 }
 
 // runServeCell drives one request stream and aggregates its outcomes.
 func runServeCell(backend string, wl serveWorkload, workers, laneWidth, clients, requests int) (serveCell, error) {
 	cell := serveCell{
-		Backend: backend, Workload: wl.name,
-		Workers: workers, LaneWidth: laneWidth,
+		labels:  labels{Backend: backend, Workload: wl.name},
 		Clients: clients, Requests: requests,
 	}
 	s, err := serve.New(serve.Options{
@@ -298,8 +283,7 @@ func runServeCell(backend string, wl serveWorkload, workers, laneWidth, clients,
 // and the latency percentiles of those completions.
 func runOverloadCell(backend string, capacity float64, workers, laneWidth, requests int) (serveCell, error) {
 	cell := serveCell{
-		Backend: backend, Workload: "overload-2x",
-		Workers: workers, LaneWidth: laneWidth,
+		labels:  labels{Backend: backend, Workload: "overload-2x"},
 		Clients: 1, Requests: requests,
 	}
 	if capacity <= 0 {
@@ -390,8 +374,7 @@ func serveBoomJob() serve.Job {
 // (the cooldown, plus the half-open probe's own service time).
 func runBreakerCell(backend string, workers, laneWidth int) (serveCell, error) {
 	cell := serveCell{
-		Backend: backend, Workload: "breaker-recovery",
-		Workers: workers, LaneWidth: laneWidth,
+		labels:  labels{Backend: backend, Workload: "breaker-recovery"},
 		Clients: 1,
 	}
 	const cooldown = 100 * time.Millisecond

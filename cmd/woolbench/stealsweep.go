@@ -1,12 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
+	"maps"
+	"slices"
 	"sort"
-	"time"
 
 	"gowool/internal/costmodel"
 	"gowool/internal/sched"
@@ -30,57 +28,10 @@ import (
 // Random; 2 keeps the locality signal visible in the matrices.
 const sweepNeighborhood = 2
 
-// stealSweepReport is the machine-readable output of -stealsweep.
-type stealSweepReport struct {
-	GoVersion  string            `json:"go_version"`
-	GOOS       string            `json:"goos"`
-	GOARCH     string            `json:"goarch"`
-	NumCPU     int               `json:"num_cpu"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	Scale      string            `json:"scale"`
-	Native     []nativeStealCell `json:"native"`
-	Sim        []simStealCell    `json:"sim"`
-	Notes      map[string]string `json:"notes"`
-}
-
-// nativeStealCell is one native grid point: a backend running a
-// workload under one victim policy and steal amount, with the steal
-// topology extracted from the run's trace.
-type nativeStealCell struct {
-	Backend  string  `json:"backend"`
-	Policy   string  `json:"policy"`
-	Amount   string  `json:"amount"`
-	Workload string  `json:"workload"`
-	Workers  int     `json:"workers"`
-	BestMs   float64 `json:"best_ms"`
-	// Steals counts successful victim steals (leapfrog included),
-	// Central the takes from a central queue (no victim).
-	Steals   int64 `json:"steals"`
-	Leapfrog int64 `json:"leapfrog"`
-	Central  int64 `json:"central"`
-	// MeanRingDist is the steal-weighted mean thief↔victim ring
-	// distance; LocalFrac the fraction of steals within the Localized
-	// neighborhood radius. Both read the same matrix the policy shaped.
-	MeanRingDist float64 `json:"mean_ring_dist"`
-	LocalFrac    float64 `json:"local_frac"`
-	// Matrix is Steals[thief][victim] from the trace exporter.
-	Matrix [][]int64 `json:"matrix"`
-}
-
-// simStealCell is one simulator grid point on the sharded topology.
-type simStealCell struct {
-	Kind     string  `json:"kind"`
-	Policy   string  `json:"policy"`
-	Workload string  `json:"workload"`
-	Procs    int     `json:"procs"`
-	Shards   int     `json:"shards"`
-	KCycles  float64 `json:"kcycles"`
-	Steals   int64   `json:"steals"`
-	// MeanHops is the steal-weighted mean shard distance; RemoteFrac
-	// the fraction of steals that crossed a shard boundary.
-	MeanHops   float64 `json:"mean_hops"`
-	RemoteFrac float64 `json:"remote_frac"`
-}
+// localRadius is the ring distance the Localized neighborhood reaches:
+// its h nearest workers alternate +1, -1, +2, -2, ..., so they lie
+// within distance (h+1)/2.
+const localRadius = (sweepNeighborhood + 1) / 2
 
 // sweepSizes holds the per-scale workload parameters.
 type sweepSizes struct {
@@ -110,7 +61,7 @@ func sweepScale(full bool) sweepSizes {
 
 // matrixStats reduces a steal matrix to the locality numbers: total
 // victim steals, steal-weighted mean ring distance, and the fraction
-// within the Localized neighborhood radius.
+// within localRadius.
 func matrixStats(m *trace.StealMatrix) (steals int64, meanDist, localFrac float64) {
 	var distSum, local int64
 	for thief := range m.Steals {
@@ -121,7 +72,7 @@ func matrixStats(m *trace.StealMatrix) (steals int64, meanDist, localFrac float6
 			d := steal.RingDistance(thief, victim, m.Workers)
 			steals += c
 			distSum += c * int64(d)
-			if d <= sweepNeighborhood {
+			if d <= localRadius {
 				local += c
 			}
 		}
@@ -134,12 +85,8 @@ func matrixStats(m *trace.StealMatrix) (steals int64, meanDist, localFrac float6
 }
 
 // runNativeCell runs one backend × policy × amount × workload cell on
-// a traced pool and reduces its trace to a cell record.
-func runNativeCell(s sched.Scheduler, pol, amt, workload string, sz sweepSizes) (nativeStealCell, error) {
-	cell := nativeStealCell{
-		Backend: s.Name(), Policy: pol, Amount: amt,
-		Workload: workload, Workers: sz.workers,
-	}
+// a traced pool and reduces its trace to the cell's records.
+func runNativeCell(s sched.Scheduler, pol, amt, workload string, sz sweepSizes) ([]record, error) {
 	var job sched.RecJob
 	var want int64
 	switch workload {
@@ -150,7 +97,7 @@ func runNativeCell(s sched.Scheduler, pol, amt, workload string, sz sweepSizes) 
 		job = stress.Job(sz.stressHeight, sz.stressIters, sz.reps)
 		want = stress.SerialReps(sz.stressHeight, sz.stressIters, sz.reps)
 	default:
-		return cell, fmt.Errorf("unknown sweep workload %q", workload)
+		return nil, fmt.Errorf("unknown sweep workload %q", workload)
 	}
 	tr := trace.New(sz.workers, 0)
 	p := s.NewPool(sched.Options{
@@ -163,29 +110,38 @@ func runNativeCell(s sched.Scheduler, pol, amt, workload string, sz sweepSizes) 
 		},
 	})
 	defer p.Close()
-	best := time.Duration(1<<63 - 1)
-	for rep := 0; rep < sz.timedReps; rep++ {
-		t0 := time.Now()
-		got := p.RunRec(job)
-		d := time.Since(t0)
-		if got != want {
-			return cell, fmt.Errorf("%s/%s/%s %s = %d, want %d", s.Name(), pol, amt, workload, got, want)
+	samples, err := timeMs(sz.timedReps, func() error {
+		if got := p.RunRec(job); got != want {
+			return fmt.Errorf("%s/%s/%s %s = %d, want %d", s.Name(), pol, amt, workload, got, want)
 		}
-		if d < best {
-			best = d
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	cell.BestMs = float64(best) / float64(time.Millisecond)
 	m := tr.StealMatrix()
-	cell.Matrix = m.Steals
-	cell.Steals, cell.MeanRingDist, cell.LocalFrac = matrixStats(m)
+	// steals counts successful victim steals (leapfrog included),
+	// central the takes from a central queue (no victim).
+	steals, meanDist, localFrac := matrixStats(m)
+	var leapfrog, central int64
 	for thief := range m.Leap {
-		cell.Central += m.Central[thief]
+		central += m.Central[thief]
 		for _, c := range m.Leap[thief] {
-			cell.Leapfrog += c
+			leapfrog += c
 		}
 	}
-	return cell, nil
+	l := labels{Backend: s.Name(), Policy: pol, Amount: amt, Workload: workload}
+	best := bestOf("best_ms", "ms", samples, l)
+	fmt.Printf("  %-10s %-12s %-5s %-7s %8.1f ms  steals=%-6d dist=%.2f local=%.2f\n",
+		l.Backend, pol, amt, workload, best.Value, steals, meanDist, localFrac)
+	return []record{
+		best,
+		{Key: "steals", Unit: "count", Value: float64(steals), Labels: l},
+		{Key: "leapfrog", Unit: "count", Value: float64(leapfrog), Labels: l},
+		{Key: "central", Unit: "count", Value: float64(central), Labels: l},
+		{Key: "mean_ring_dist", Unit: "workers", Value: meanDist, Labels: l},
+		{Key: "local_frac", Unit: "ratio", Value: localFrac, Labels: l},
+	}, nil
 }
 
 // simKinds is the simulator protocol grid: the kinds with per-worker
@@ -194,7 +150,7 @@ var simKinds = []sim.Kind{sim.KindDirectStack, sim.KindDeque, sim.KindLock}
 
 // runSimCell runs one protocol × policy × workload cell at sz.simProcs
 // on the sharded topology and reduces Result.StealsFrom to hop stats.
-func runSimCell(kind sim.Kind, pol, workload string, sz sweepSizes) simStealCell {
+func runSimCell(kind sim.Kind, pol, workload string, sz sweepSizes) []record {
 	var def *sim.Def
 	var args sim.Args
 	switch workload {
@@ -209,12 +165,7 @@ func runSimCell(kind sim.Kind, pol, workload string, sz sweepSizes) simStealCell
 		Topology: sim.Topology{Shards: sz.simShards},
 	}
 	res := sim.Run(cfg, def, args)
-	cell := simStealCell{
-		Kind: kind.String(), Policy: pol, Workload: workload,
-		Procs: sz.simProcs, Shards: sz.simShards,
-		KCycles: float64(res.Makespan) / 1e3,
-	}
-	var hopSum, remote int64
+	var steals, hopSum, remote int64
 	for thief := range res.StealsFrom {
 		for victim, c := range res.StealsFrom[thief] {
 			if c == 0 {
@@ -226,63 +177,49 @@ func runSimCell(kind sim.Kind, pol, workload string, sz sweepSizes) simStealCell
 			if h < 0 {
 				h = -h
 			}
-			cell.Steals += c
+			steals += c
 			hopSum += c * int64(h)
 			if h > 0 {
 				remote += c
 			}
 		}
 	}
-	if cell.Steals > 0 {
-		cell.MeanHops = float64(hopSum) / float64(cell.Steals)
-		cell.RemoteFrac = float64(remote) / float64(cell.Steals)
+	// meanHops is the steal-weighted mean shard distance, remoteFrac
+	// the fraction of steals that crossed a shard boundary.
+	var meanHops, remoteFrac float64
+	if steals > 0 {
+		meanHops = float64(hopSum) / float64(steals)
+		remoteFrac = float64(remote) / float64(steals)
 	}
-	return cell
+	kcycles := float64(res.Makespan) / 1e3
+	fmt.Printf("  %-12s %-12s %-7s %10.0f kcycles  steals=%-6d hops=%.2f remote=%.2f\n",
+		kind, pol, workload, kcycles, steals, meanHops, remoteFrac)
+	l := labels{Kind: kind.String(), Policy: pol, Workload: workload}
+	return []record{
+		{Key: "kcycles", Unit: "kcycles", Value: kcycles, Labels: l},
+		{Key: "steals", Unit: "count", Value: float64(steals), Labels: l},
+		{Key: "mean_hops", Unit: "shards", Value: meanHops, Labels: l},
+		{Key: "remote_frac", Unit: "ratio", Value: remoteFrac, Labels: l},
+	}
 }
 
-// printRankings prints, per backend (native, fib cells at AmountOne)
-// and per protocol (sim, fib cells), the policies ordered fastest
-// first — the side-by-side the sweep exists to produce.
-func printRankings(rep *stealSweepReport) {
-	fmt.Println("stealsweep: native policy ranking per backend (fib, amount=one, fastest first)")
-	byBackend := map[string][]nativeStealCell{}
-	for _, c := range rep.Native {
-		if c.Workload == "fib" && c.Amount == steal.AmountOne {
-			byBackend[c.Backend] = append(byBackend[c.Backend], c)
+// printRanking prints the fib cells' key values (amount one where the
+// cell has an amount) per group, policies fastest first — the native
+// and simulated rankings the sweep exists to compare.
+func printRanking(recs []record, key, unit string, group func(labels) string) {
+	byGroup := map[string][]record{}
+	for _, r := range recs {
+		l := r.Labels
+		if r.Key == key && l.Workload == "fib" && (l.Amount == "" || l.Amount == steal.AmountOne) {
+			byGroup[group(l)] = append(byGroup[group(l)], r)
 		}
 	}
-	var backends []string
-	for b := range byBackend {
-		backends = append(backends, b)
-	}
-	sort.Strings(backends)
-	for _, b := range backends {
-		cells := byBackend[b]
-		sort.Slice(cells, func(i, j int) bool { return cells[i].BestMs < cells[j].BestMs })
-		fmt.Printf("  %-10s", b)
-		for _, c := range cells {
-			fmt.Printf(" %s=%.1fms", c.Policy, c.BestMs)
-		}
-		fmt.Println()
-	}
-	fmt.Println("stealsweep: sim policy ranking per protocol (fib, P=64, 8 shards, fastest first)")
-	byKind := map[string][]simStealCell{}
-	for _, c := range rep.Sim {
-		if c.Workload == "fib" {
-			byKind[c.Kind] = append(byKind[c.Kind], c)
-		}
-	}
-	var kinds []string
-	for k := range byKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		cells := byKind[k]
-		sort.Slice(cells, func(i, j int) bool { return cells[i].KCycles < cells[j].KCycles })
-		fmt.Printf("  %-12s", k)
-		for _, c := range cells {
-			fmt.Printf(" %s=%.0fk", c.Policy, c.KCycles)
+	for _, g := range slices.Sorted(maps.Keys(byGroup)) {
+		rs := byGroup[g]
+		sort.Slice(rs, func(i, j int) bool { return rs[i].Value < rs[j].Value })
+		fmt.Printf("  %-12s", g)
+		for _, r := range rs {
+			fmt.Printf(" %s=%.1f%s", r.Labels.Policy, r.Value, unit)
 		}
 		fmt.Println()
 	}
@@ -293,24 +230,21 @@ func printRankings(rep *stealSweepReport) {
 // on the sharded topology.
 func runStealSweep(path string, full bool) error {
 	sz := sweepScale(full)
-	gmp := runtime.GOMAXPROCS(0)
-	if gmp < sz.workers {
-		runtime.GOMAXPROCS(sz.workers)
-		defer runtime.GOMAXPROCS(gmp)
-	}
 	scale := "quick"
 	if full {
 		scale = "full"
 	}
-	rep := stealSweepReport{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Scale:      scale,
+	e, restore := benchEnv(sz.workers, scale)
+	defer restore()
+	rep := &report{
+		Env: e,
+		Records: []record{
+			{Key: "workers", Unit: "count", Value: float64(sz.workers)},
+			{Key: "procs", Unit: "count", Value: float64(sz.simProcs)},
+			{Key: "shards", Unit: "count", Value: float64(sz.simShards)},
+		},
 		Notes: map[string]string{
-			"native": fmt.Sprintf("policy × amount × workload per backend advertising StealPolicies; %d workers, best of %d wall-clock reps; matrix[thief][victim] from the trace exporter; localized neighborhood %d", sz.workers, sz.timedReps, sweepNeighborhood),
+			"native": fmt.Sprintf("policy × amount × workload per backend advertising StealPolicies; %d workers, best of %d wall-clock reps; steal counts and locality from the trace exporter's steal matrix (reprint one with woolrun -stealpolicy P -stealamount A -stealmatrix); localized neighborhood %d, local_frac counts steals within ring distance %d", sz.workers, sz.timedReps, sweepNeighborhood, localRadius),
 			"sim":    fmt.Sprintf("virtual-time sweep at P=%d on a %d-shard linear topology (remote probes +%d cycles/hop, remote steals +%d cycles/hop); kcycles is makespan/1e3", sz.simProcs, sz.simShards, costmodel.RemoteProbePenalty, costmodel.RemoteStealPenalty),
 			"intent": "compare the native policy ranking (best_ms per backend) with the simulated ranking (kcycles per protocol); EXPERIMENTS.md §steal-policies reads from this file",
 		},
@@ -325,14 +259,11 @@ func runStealSweep(path string, full bool) error {
 		for _, pol := range caps.StealPolicies {
 			for _, amt := range caps.StealAmounts {
 				for _, workload := range []string{"fib", "stress"} {
-					cell, err := runNativeCell(s, pol, amt, workload, sz)
+					recs, err := runNativeCell(s, pol, amt, workload, sz)
 					if err != nil {
 						return err
 					}
-					rep.Native = append(rep.Native, cell)
-					fmt.Printf("  %-10s %-12s %-5s %-7s %8.1f ms  steals=%-6d dist=%.2f local=%.2f\n",
-						cell.Backend, cell.Policy, cell.Amount, cell.Workload,
-						cell.BestMs, cell.Steals, cell.MeanRingDist, cell.LocalFrac)
+					rep.Records = append(rep.Records, recs...)
 				}
 			}
 		}
@@ -342,25 +273,14 @@ func runStealSweep(path string, full bool) error {
 	for _, kind := range simKinds {
 		for _, pol := range steal.Policies() {
 			for _, workload := range []string{"fib", "stress"} {
-				cell := runSimCell(kind, pol, workload, sz)
-				rep.Sim = append(rep.Sim, cell)
-				fmt.Printf("  %-12s %-12s %-7s %10.0f kcycles  steals=%-6d hops=%.2f remote=%.2f\n",
-					cell.Kind, cell.Policy, cell.Workload,
-					cell.KCycles, cell.Steals, cell.MeanHops, cell.RemoteFrac)
+				rep.Records = append(rep.Records, runSimCell(kind, pol, workload, sz)...)
 			}
 		}
 	}
 
-	printRankings(&rep)
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
+	fmt.Println("stealsweep: native policy ranking per backend (fib, amount=one, fastest first)")
+	printRanking(rep.Records, "best_ms", "ms", func(l labels) string { return l.Backend })
+	fmt.Printf("stealsweep: sim policy ranking per protocol (fib, P=%d, %d shards, fastest first)\n", sz.simProcs, sz.simShards)
+	printRanking(rep.Records, "kcycles", "k", func(l labels) string { return l.Kind })
+	return writeReport(path, rep)
 }

@@ -673,34 +673,6 @@ func TestHighContentionStress(t *testing.T) {
 	}
 }
 
-func BenchmarkSpawnJoinPublic(b *testing.B) {
-	p := NewPool(Options{Workers: 1})
-	defer p.Close()
-	noop := Define1("noop", func(w *Worker, x int64) int64 { return x })
-	b.ResetTimer()
-	p.Run(func(w *Worker) int64 {
-		for i := 0; i < b.N; i++ {
-			noop.Spawn(w, 1)
-			noop.Join(w)
-		}
-		return 0
-	})
-}
-
-func BenchmarkSpawnJoinPrivate(b *testing.B) {
-	p := NewPool(Options{Workers: 1, PrivateTasks: true})
-	defer p.Close()
-	noop := Define1("noop", func(w *Worker, x int64) int64 { return x })
-	b.ResetTimer()
-	p.Run(func(w *Worker) int64 {
-		for i := 0; i < b.N; i++ {
-			noop.Spawn(w, 1)
-			noop.Join(w)
-		}
-		return 0
-	})
-}
-
 func BenchmarkFib25SingleWorker(b *testing.B) {
 	p := NewPool(Options{Workers: 1, PrivateTasks: true})
 	defer p.Close()

@@ -136,20 +136,6 @@ func TestUnjoinedPanics(t *testing.T) {
 	p.Run(func(w *Worker) int64 { noop.Spawn(w, 1); return 0 })
 }
 
-func BenchmarkSpawnJoinLocked(b *testing.B) {
-	p := NewPool(Options{Workers: 1})
-	defer p.Close()
-	noop := Define1("noop", func(w *Worker, x int64) int64 { return x })
-	b.ResetTimer()
-	p.Run(func(w *Worker) int64 {
-		for i := 0; i < b.N; i++ {
-			noop.Spawn(w, 1)
-			noop.Join(w)
-		}
-		return 0
-	})
-}
-
 // TestWorkersBoundRejected: stolenBy packs thief index + 1 into an
 // int32, so NewPool must reject worker counts past that encoding
 // before allocating per-worker stacks.

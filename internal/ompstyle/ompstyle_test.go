@@ -142,16 +142,3 @@ func TestStats(t *testing.T) {
 		t.Errorf("after reset spawns=%d", st.Spawns)
 	}
 }
-
-func BenchmarkSpawnWaitOMP(b *testing.B) {
-	p := NewPool(Options{Workers: 1})
-	defer p.Close()
-	b.ResetTimer()
-	p.Run(func(tc *Context) int64 {
-		for i := 0; i < b.N; i++ {
-			tc.SpawnTask(func(*Context) {})
-			tc.Taskwait()
-		}
-		return 0
-	})
-}
