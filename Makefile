@@ -170,8 +170,9 @@ perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # What .github/workflows/ci.yml runs: build, vet, woolvet, the tier-1
-# suite, a short race pass over the scheduler protocols and the
-# registry conformance suite, and the perfbench module's vet and tests.
+# suite, a short race pass over the scheduler protocols, the registry
+# conformance suite and the serving layer, the perfbench module's vet
+# and tests, and the trace, steal-sweep and serve smokes.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -182,3 +183,6 @@ ci:
 		./internal/ompstyle/... ./internal/sim/... \
 		./internal/sched/... ./internal/serve/... ./internal/workloads/
 	$(MAKE) perfbench-test
+	$(MAKE) trace-smoke
+	$(MAKE) stealsweep-smoke
+	$(MAKE) serve-smoke

@@ -7,12 +7,11 @@
 //	woolstat -scale quick
 //	woolstat -workload stress -height 9 -iters 256 -reps 64
 //
-// With -native the workload instead runs on the real scheduler and the
-// live Stats counters are printed — spawns, steals, trip-wire
-// publications, parks/wakes from the idle engine and retained-victim
-// steal hits:
+// For the live scheduler counters of a real run (spawns, steals,
+// trip-wire publications, parks/wakes, retained-victim steal hits) use
+// woolrun -stats:
 //
-//	woolstat -native -workload fib -n 28 -workers 4
+//	woolrun -workload fib -n 28 -stats
 package main
 
 import (
@@ -39,20 +38,10 @@ var (
 	height    = flag.Int64("height", 8, "stress height")
 	iters     = flag.Int64("iters", 256, "stress leaf iterations")
 	reps      = flag.Int64("reps", 16, "repetitions")
-	native    = flag.Bool("native", false, "run on the real scheduler and print live Stats counters (fib and stress only)")
-	workers   = flag.Int("workers", 4, "worker count for -native runs")
-	schedName = flag.String("sched", "wool", "scheduler for -native runs (any registered name; wool prints the full core counter set, others the normalized one)")
 )
 
 func main() {
 	flag.Parse()
-	if *native {
-		if err := runNative(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		return
-	}
 	if *workload == "" {
 		scale, err := experiments.ParseScale(*scaleFlag)
 		if err != nil {

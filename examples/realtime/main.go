@@ -170,7 +170,7 @@ func main() {
 	for _, ts := range st.Tenants {
 		laneSplit += fmt.Sprintf(" %s=%d", ts.Name, ts.Lanes)
 	}
-	fmt.Printf("%d ticks, %d sensors/frame, %d lanes (%s )\n", ticks, sensors, st.Lanes, laneSplit)
+	fmt.Printf("%d ticks, %d sensors/frame, %d lanes (%s )\n", ticks, sensors, len(st.Lanes), laneSplit)
 	fmt.Printf("control: latency p50=%v p90=%v p99=%v max=%v\n", pct(0.50), pct(0.90), pct(0.99), pct(1.0))
 	fmt.Printf("control: %d/%d deadlines met, %d aborted mid-flight, %d shed at admission (budget %v)\n",
 		len(lat), ticks, missed, shed, tickBudget)

@@ -71,12 +71,16 @@ func (p *Pool) Abort(reason error) bool {
 // original panic value of the task panic (or the *poolerr.AbortError
 // of an Abort) that poisoned it. Unlike Run's poisoned panic this is
 // a plain observation, usable by a serving layer deciding whether to
-// Reset.
+// Reset. Safe to call concurrently with Abort and Reset: the
+// unpoisoned case is one atomic load, and the cause is read under
+// poisonMu, the lock its writers hold.
 func (p *Pool) Poisoned() (cause any, poisoned bool) {
 	if !p.panicked.Load() {
 		return nil, false
 	}
-	return p.panicVal, true
+	p.poisonMu.Lock()
+	defer p.poisonMu.Unlock()
+	return p.panicVal, p.panicked.Load()
 }
 
 // Reset revives a poisoned pool so it can serve the next request. It

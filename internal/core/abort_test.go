@@ -120,6 +120,49 @@ func TestResetNotPoisonedIsNoop(t *testing.T) {
 	}
 }
 
+// TestPoisonedConcurrentWithReset reads Poisoned from another goroutine
+// while Abort and Reset cycle the poison on a pool (a serving layer's
+// Stats reader against its lane). Under -race it pins that the cause
+// read is synchronized with Reset's clear; in any mode a poisoned
+// report must carry its cause.
+func TestPoisonedConcurrentWithReset(t *testing.T) {
+	p := NewPool(Options{Workers: 1})
+	defer p.Close()
+	stop := make(chan struct{})
+	reads := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				reads <- nil
+				return
+			default:
+			}
+			if cause, poisoned := p.Poisoned(); poisoned != (cause != nil) {
+				reads <- fmt.Errorf("Poisoned() = (%v, %v): poison without a cause", cause, poisoned)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	reason := errors.New("cycle")
+	for i := 0; i < 2000; i++ {
+		p.Abort(reason)
+		// Yield so the reader runs inside the poisoned window even on
+		// a single CPU. A yield is no synchronization: the reader's
+		// cause read stays unordered with the Reset below unless
+		// Poisoned takes the lock.
+		runtime.Gosched()
+		if err := p.Reset(); err != nil {
+			t.Fatalf("cycle %d: Reset: %v", i, err)
+		}
+	}
+	close(stop)
+	if err := <-reads; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestClosePoisonedPoolWithParking is the satellite regression for the
 // poison→park leak: with Parking enabled, a pool poisoned by a task
 // panic has its idle workers blocked on the poison gate (or parked on

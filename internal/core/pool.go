@@ -68,31 +68,12 @@ type Options struct {
 	// for Table I. Valid for single-worker pools; see SpanProfiler.
 	Span bool
 
-	// StealSampling makes idle thieves probe up to this many candidate
-	// victims per attempt and steal from the first that looks
-	// stealable (bot descriptor in TASK state), instead of committing
-	// to one uniformly random victim (1, the default and the paper's
-	// policy). Sampling trades extra read-only probes for fewer failed
-	// attempts when few pools hold work — the direction Wool's own
-	// later development took. Probes within one attempt are pairwise
-	// distinct (capped at 8).
-	StealSampling int
-
-	// StealRetain is the last-successful-victim retention policy: after
-	// a successful steal the thief returns to the same victim first,
-	// dropping it after this many consecutive probes that find nothing.
-	// Steals cluster, so the retained victim very often has more work.
-	// 0 means the default of 1; negative disables retention (every
-	// attempt picks a fresh random victim, the paper's policy).
-	StealRetain int
-
 	// Steal selects the victim-selection policy layer (internal/steal):
 	// Policy is one of steal.Policies() plus the per-policy parameters
 	// (retention budget, sampling width, localized neighborhood/spill).
-	// The zero value reproduces the pre-policy behaviour bit for bit —
-	// last-victim retention over uniform random, parameterized by the
-	// legacy StealSampling/StealRetain fields above (which Defaults
-	// folds into this struct; explicit Steal fields win). Steal.Amount
+	// An unset Policy resolves to last-victim retention over uniform
+	// random (retain 1, sampling 1), the pre-policy behaviour bit for
+	// bit; a negative Retain degrades it to plain random. Steal.Amount
 	// is accepted for registry uniformity but the direct task stack
 	// only supports taking one task per steal: the descriptor CAS
 	// claims exactly one bottom task.
@@ -233,28 +214,10 @@ func (o Options) Defaults() Options {
 	if o.PrivatizeRun <= 0 {
 		o.PrivatizeRun = 16
 	}
-	if o.StealSampling <= 0 {
-		o.StealSampling = 1
-	}
-	if o.StealRetain == 0 {
-		o.StealRetain = 1
-	}
-	// Fold the legacy knobs into the policy config: unset Steal fields
-	// inherit StealRetain/StealSampling, and an unset policy name
-	// resolves to the historical behaviour (last-victim retention, or
-	// plain random when retention is disabled).
+	// Core's historical victim selection is last-victim retention, not
+	// the steal package's plain-random zero value.
 	if o.Steal.Policy == "" {
-		if o.StealRetain > 0 {
-			o.Steal.Policy = steal.LastVictim
-		} else {
-			o.Steal.Policy = steal.Random
-		}
-	}
-	if o.Steal.Retain == 0 {
-		o.Steal.Retain = o.StealRetain
-	}
-	if o.Steal.Sampling == 0 {
-		o.Steal.Sampling = o.StealSampling
+		o.Steal.Policy = steal.LastVictim
 	}
 	o.Steal = o.Steal.Defaults()
 	if o.MaxIdleSleep == 0 {
@@ -292,7 +255,9 @@ type Pool struct {
 	// a sync.Once, because Reset must be able to clear the record for
 	// the next request without racing a concurrent Abort's Do (abort.go).
 	// Readers load panicked (atomic) and, when set, read panicVal: the
-	// Store after the panicVal write orders the pair.
+	// Store after the panicVal write orders the pair. Run-path readers
+	// never overlap Reset's clear (both claim running); Poisoned, which
+	// may, reads panicVal under poisonMu.
 	panicVal any
 	panicked atomic.Bool
 
@@ -630,7 +595,7 @@ type Stats struct {
 	LeapSteals          int64 // successful steals made while leapfrogging
 	Publications        int64 // trip-wire publications
 	Privatizations      int64 // public-boundary pull-downs
-	RetainedSteals      int64 // successful steals from the retained victim (StealRetain hits)
+	RetainedSteals      int64 // successful steals from the retained victim (last-victim hits)
 	Parks               int64 // times a worker parked on the idle engine
 	Wakes               int64 // targeted wakes this worker issued to parked peers
 	OverflowInlined     int64 // spawns degraded to inline execution on task-stack overflow

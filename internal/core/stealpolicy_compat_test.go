@@ -8,7 +8,7 @@ import (
 
 // This file is the bit-for-bit guard for the steal-policy refactor:
 // the PR-1 victim-selection algorithm (nextVictim / distinctVictims /
-// chooseVictim with inline StealRetain accounting) is reimplemented
+// chooseVictim with inline retention accounting) is reimplemented
 // here verbatim as a test-local replica, and the worker's policy-based
 // chooseVictim must produce the exact same victim sequence for the
 // same seed, the same scripted stealability, and the same outcome
@@ -23,8 +23,8 @@ type legacyChooser struct {
 	self, n      int
 	lastVictim   int
 	retainMisses int
-	retain       int // Options.StealRetain after Defaults
-	sampling     int // Options.StealSampling after Defaults
+	retain       int // Options.Steal.Retain after Defaults
+	sampling     int // Options.Steal.Sampling after Defaults
 }
 
 const legacyMaxSampling = 8
@@ -161,9 +161,12 @@ func TestStealPolicyBitForBitLegacy(t *testing.T) {
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
 			p := stoppedPool(t, Options{
-				Workers:       workers,
-				StealRetain:   cfg.retain,
-				StealSampling: cfg.sampling,
+				Workers: workers,
+				Steal: steal.Config{
+					Policy:   steal.LastVictim,
+					Retain:   cfg.retain,
+					Sampling: cfg.sampling,
+				},
 			})
 			w := p.workers[self]
 			// The replica gets the post-Defaults values the legacy code

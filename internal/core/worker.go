@@ -724,10 +724,10 @@ func stealableAt(v *Worker) bool {
 }
 
 // chooseVictim asks the worker's steal policy for the next target. The
-// legacy retention (Options.StealRetain) and sampling (Options.
-// StealSampling) behaviours now live behind the policy interface — the
-// default last-victim policy reproduces them bit for bit (see
-// internal/steal and the compat test in stealpolicy_compat_test.go).
+// pre-policy retention and sampling behaviours live behind the policy
+// interface — the default last-victim policy reproduces them bit for
+// bit (see internal/steal and the compat test in
+// stealpolicy_compat_test.go).
 func (w *Worker) chooseVictim() *Worker {
 	return w.pool.workers[w.pol.Choose(w.probe)]
 }

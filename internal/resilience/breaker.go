@@ -19,7 +19,7 @@ const (
 	BreakerHalfOpen
 )
 
-// String returns the stable state name (health snapshots, docs).
+// String returns the stable state name (Stats snapshots, docs).
 func (s BreakerState) String() string {
 	switch s {
 	case BreakerOpen:
@@ -79,7 +79,7 @@ func (c BreakerConfig) Defaulted() BreakerConfig {
 	return c
 }
 
-// BreakerHealth is a point-in-time breaker snapshot (Server.Health).
+// BreakerHealth is a point-in-time breaker snapshot (serve.TenantStats).
 type BreakerHealth struct {
 	// State is the current state name: closed, open or half-open.
 	State string

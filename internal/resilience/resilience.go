@@ -38,27 +38,18 @@ package resilience
 
 import "time"
 
-// Options bundles the server-wide resilience defaults. The zero value
-// enables every subsystem with the defaults documented on each config;
-// the Disable* switches turn a subsystem off wholesale, and per-tenant
-// TenantConfig overrides refine the rest.
+// Options bundles the server-wide resilience settings. The zero value
+// enables every subsystem with the defaults documented on each config.
 type Options struct {
-	// DisableBreaker turns off per-tenant circuit breaking.
-	DisableBreaker bool
 	// DisableDeadline turns off deadline-aware admission.
 	DisableDeadline bool
-	// DisableRetry turns off server-side retries (callers still mark
-	// tickets retry-safe; the mark is simply ignored).
-	DisableRetry bool
-	// DisableQuarantine turns off lane quarantine; a failed Reset then
-	// falls back to a plain in-place pool replacement.
-	DisableQuarantine bool
 
-	// Breaker is the default breaker config (zero fields defaulted).
+	// Breaker is the per-tenant breaker config (zero fields defaulted).
 	Breaker BreakerConfig
-	// Estimator is the default estimator config (zero fields defaulted).
+	// Estimator is the per-tenant estimator config (zero fields
+	// defaulted).
 	Estimator EstimatorConfig
-	// Retry is the default retry config (zero fields defaulted).
+	// Retry is the per-tenant retry config (zero fields defaulted).
 	Retry RetryConfig
 	// Quarantine is the lane-quarantine config (zero fields defaulted).
 	Quarantine QuarantineConfig
@@ -66,17 +57,6 @@ type Options struct {
 	// Seed seeds the retry-jitter streams; 0 means a fixed default so
 	// runs are replayable by construction.
 	Seed uint64
-}
-
-// TenantConfig overrides the server-wide resilience defaults for one
-// tenant (serve.Tenant.Resilience): nil fields inherit the defaults.
-type TenantConfig struct {
-	// Breaker overrides the tenant's breaker config.
-	Breaker *BreakerConfig
-	// Retry overrides the tenant's retry config.
-	Retry *RetryConfig
-	// Estimator overrides the tenant's estimator config.
-	Estimator *EstimatorConfig
 }
 
 // QuarantineConfig tunes when the serving layer pulls a lane from

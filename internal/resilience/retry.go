@@ -99,12 +99,9 @@ func (r *Retrier) Next(attempt int) (backoff time.Duration, ok bool) {
 	return time.Duration(r.rng.Next()%uint64(ceil)) + 1, true
 }
 
-// Tokens returns the current budget (health snapshots).
+// Tokens returns the current budget (Stats snapshots).
 func (r *Retrier) Tokens() float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.tokens
 }
-
-// MaxRetries exposes the defaulted attempt bound.
-func (r *Retrier) MaxRetries() int { return r.cfg.MaxRetries }

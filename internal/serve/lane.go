@@ -23,22 +23,25 @@ type lane struct {
 	tn   *tenant // home team
 	opts sched.Options
 
-	// mu guards the pool/ab pointer swaps against concurrent Health
+	// mu guards the pool/ab pointer swaps against concurrent Stats
 	// readers. The lane goroutine is the only writer and the only
 	// request-path reader, so it reads its own fields directly.
 	mu   sync.Mutex
 	pool sched.Pool
 	// ab is the pool's request-scoped abort surface, nil when the
-	// backend lacks Caps.Serve (then a poisoned pool is replaced
-	// instead of Reset).
+	// backend lacks Caps.Serve (then a pool a request errored on is
+	// quarantined instead of Reset).
 	ab sched.Abortable
 
-	// wantQuarantine is lane-goroutine-private: set when a Reset fails
-	// or the failure streak trips, consumed by loop between requests.
+	// wantQuarantine is lane-goroutine-private: set when the pool
+	// cannot be restored in place (a failed Reset, a tripped failure
+	// streak, an errored run without the abort surface), consumed by
+	// loop between requests.
 	wantQuarantine bool
 
-	// Health counters (DESIGN.md §17). quarantined flips while the lane
-	// is out of rotation replacing and probing its pool.
+	// Self-healing counters (DESIGN.md §17, LaneStats). quarantined
+	// flips while the lane is out of rotation replacing and probing its
+	// pool.
 	quarantined   atomic.Bool
 	streak        atomic.Int32
 	quarantines   atomic.Int64
@@ -137,7 +140,8 @@ func (l *lane) serveOne(t *Ticket) {
 		<-fired
 	}
 
-	// Restore pool health before touching the next request.
+	// Restore pool health before touching the next request: Reset a
+	// request-scoped poison in place, quarantine what cannot be.
 	if l.ab != nil {
 		if cause, poisoned := l.ab.Poisoned(); poisoned {
 			if ae, ok := cause.(*poolerr.AbortError); ok && err != nil {
@@ -149,19 +153,17 @@ func (l *lane) serveOne(t *Ticket) {
 					err = ae
 				}
 			}
-			if l.srv.inj.Fail(chaos.ServeLaneResetFail) {
-				// Chaos: behave as if Reset failed without calling it —
-				// quarantine discards the pool either way.
-				l.wantQuarantine = true
-			} else if rerr := l.ab.Reset(); rerr != nil {
+			// Chaos fails the Reset without calling it: quarantine
+			// discards the pool either way.
+			if l.srv.inj.Fail(chaos.ServeLaneResetFail) || l.ab.Reset() != nil {
 				l.wantQuarantine = true
 			}
 		}
 	} else if err != nil && l.pool.Native() != nil {
 		// Backend without the abort surface: a panic poisoned its pool
 		// in a backend-specific, unrecoverable way. Per-request
-		// isolation still holds — replace the pool wholesale.
-		l.replacePool()
+		// isolation still holds — quarantine replaces it wholesale.
+		l.wantQuarantine = true
 	}
 
 	l.finishAttempt(t, val, err, dur)
@@ -204,38 +206,27 @@ func outcomeOf(err error) outcome {
 func (l *lane) finishAttempt(t *Ticket, val int64, err error, dur time.Duration) {
 	tn := t.tn
 	oc := outcomeOf(err)
-	if t.probe {
-		t.probe = false
-		if tn.breaker != nil {
-			switch oc {
-			case outcomeOK:
-				tn.breaker.ProbeDone(true)
-			case outcomeFailure:
-				tn.breaker.ProbeDone(false)
-			default:
-				tn.breaker.ProbeSkipped()
-			}
+	switch {
+	case oc != outcomeOK && oc != outcomeFailure:
+		if t.probe {
+			tn.breaker.ProbeSkipped()
 		}
-	} else if tn.breaker != nil {
-		switch oc {
-		case outcomeOK:
-			tn.breaker.Record(true)
-		case outcomeFailure:
-			tn.breaker.Record(false)
-		}
+	case t.probe:
+		tn.breaker.ProbeDone(oc == outcomeOK)
+	default:
+		tn.breaker.Record(oc == outcomeOK)
 	}
+	t.probe = false
 	switch oc {
 	case outcomeOK:
 		l.streak.Store(0)
 		if tn.est != nil {
 			tn.est.Observe(t.class, dur)
 		}
-		if tn.retrier != nil {
-			tn.retrier.OnSuccess()
-		}
+		tn.retrier.OnSuccess()
 	case outcomeFailure:
 		ns := l.streak.Add(1)
-		if fs := l.srv.qcfg.FailureStreak; fs > 0 && int(ns) >= fs && !l.srv.res.DisableQuarantine {
+		if fs := l.srv.qcfg.FailureStreak; fs > 0 && int(ns) >= fs {
 			l.wantQuarantine = true
 		}
 		if t.Retryable {
@@ -267,15 +258,12 @@ func finishTicket(t *Ticket, val int64, err error) {
 
 // quarantine pulls the lane from rotation and hot-replaces its pool:
 // replace, probe, and on a failed probe back off and replace again,
-// until a probe passes or the server closes. With quarantine disabled
-// it degrades to the plain in-place replacement.
+// until a probe passes or the server closes. It is the only route by
+// which a lane's pool is replaced.
 func (l *lane) quarantine() {
-	if l.srv.res.DisableQuarantine {
-		l.replacePool()
-		return
-	}
 	l.quarantined.Store(true)
 	l.quarantines.Add(1)
+rounds:
 	for {
 		l.replacePool()
 		if l.probeOnce() {
@@ -285,9 +273,7 @@ func (l *lane) quarantine() {
 		case <-l.srv.closeCh:
 			// Closing: stop probing; next() will see the closed server
 			// and shut the lane down.
-			l.quarantined.Store(false)
-			l.streak.Store(0)
-			return
+			break rounds
 		case <-time.After(l.srv.qcfg.ProbeBackoff):
 		}
 	}
@@ -345,6 +331,32 @@ func (l *lane) replacePool() {
 	l.mu.Unlock()
 	l.replacements.Add(1)
 	old.Close()
+}
+
+// stats snapshots the lane's self-healing state (Server.Stats).
+func (l *lane) stats() LaneStats {
+	l.mu.Lock()
+	ab := l.ab
+	l.mu.Unlock()
+	poisoned := false
+	if ab != nil {
+		_, poisoned = ab.Poisoned()
+	}
+	state := "serving"
+	if l.quarantined.Load() {
+		state = "quarantined"
+	}
+	return LaneStats{
+		Lane:          l.idx,
+		Tenant:        l.tn.name,
+		State:         state,
+		Poisoned:      poisoned,
+		FailureStreak: int(l.streak.Load()),
+		Quarantines:   l.quarantines.Load(),
+		Replacements:  l.replacements.Load(),
+		Probes:        l.probes.Load(),
+		ProbeFailures: l.probeFailures.Load(),
+	}
 }
 
 // runJob runs the request's root on the pool, converting the

@@ -2,7 +2,7 @@ package serve
 
 // Tests for the self-healing layer (DESIGN.md §17): breaker admission,
 // deadline-aware shedding, server-side retries, lane quarantine, and
-// the Health/Stats observability surface.
+// the Stats observability surface.
 
 import (
 	"context"
@@ -80,20 +80,19 @@ func TestServeBreakerOpensAndRecovers(t *testing.T) {
 	if _, err := s.Submit(context.Background(), "", boomJob("breaker-boom")); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("submit on open breaker: err = %v, want ErrCircuitOpen", err)
 	}
-	h := s.Health()
-	if h.Tenants[0].Breaker == nil || h.Tenants[0].Breaker.State != "open" || h.Tenants[0].Breaker.Opened != 1 {
-		t.Fatalf("breaker health = %+v, want open with opened=1", h.Tenants[0].Breaker)
+	st := s.Stats().Tenants[0]
+	if st.Breaker.State != "open" || st.Breaker.Opened != 1 {
+		t.Fatalf("breaker health = %+v, want open with opened=1", st.Breaker)
 	}
-	if st := s.Stats(); st.Tenants[0].ShedCircuitOpen == 0 || st.Tenants[0].Rejected != st.Tenants[0].ShedCircuitOpen {
-		t.Fatalf("stats = %+v, want Rejected == ShedCircuitOpen > 0", st.Tenants[0])
+	if st.ShedCircuitOpen == 0 || st.Rejected != st.ShedCircuitOpen {
+		t.Fatalf("stats = %+v, want Rejected == ShedCircuitOpen > 0", st)
 	}
 
 	// Past the cooldown a good request is admitted as the half-open
 	// probe; its success closes the breaker (HalfOpenProbes = 1).
 	time.Sleep(250 * time.Millisecond)
 	mustWaitFib(t, s, "")
-	h = s.Health()
-	bh := h.Tenants[0].Breaker
+	bh := s.Stats().Tenants[0].Breaker
 	if bh.State != "closed" || bh.HalfOpened != 1 || bh.Closed != 1 {
 		t.Fatalf("post-recovery breaker = %+v, want closed with halfOpened=1 closed=1", bh)
 	}
@@ -136,7 +135,7 @@ func TestServeBreakerProbeFailureReopens(t *testing.T) {
 	if _, err := s.Submit(context.Background(), "", boomJob("reopen-boom")); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("submit after failed probe: err = %v, want ErrCircuitOpen", err)
 	}
-	if bh := s.Health().Tenants[0].Breaker; bh.Opened != 2 {
+	if bh := s.Stats().Tenants[0].Breaker; bh.Opened != 2 {
 		t.Fatalf("breaker opened = %d, want 2 (re-opened by the failed probe)", bh.Opened)
 	}
 }
@@ -264,35 +263,6 @@ func TestServeRetryAttemptBound(t *testing.T) {
 	}
 }
 
-// TestServeRetryIgnoredWhenDisabled: with retries disabled the
-// Retryable mark is a no-op and the ticket fails on its first attempt.
-func TestServeRetryIgnoredWhenDisabled(t *testing.T) {
-	s, err := New(Options{
-		Workers:    1,
-		Resilience: resilience.Options{DisableRetry: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	tk, err := s.SubmitWith(context.Background(), "", boomJob("retry-off"), SubmitOptions{Retryable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tk.Retryable {
-		t.Fatal("ticket marked retryable with retries disabled")
-	}
-	if _, werr := tk.Wait(); werr == nil {
-		t.Fatal("request did not fail")
-	}
-	if st := s.Stats().Tenants[0]; st.Retried != 0 {
-		t.Fatalf("retried = %d, want 0", st.Retried)
-	}
-	if h := s.Health(); h.Tenants[0].RetryTokens != -1 {
-		t.Fatalf("retry tokens = %v, want -1 (disabled)", h.Tenants[0].RetryTokens)
-	}
-}
-
 // TestServeCloseWithPendingRetry: Close finalizes a ticket that is
 // backing off for a retry with ErrClosed — exactly once, no hang.
 func TestServeCloseWithPendingRetry(t *testing.T) {
@@ -332,13 +302,14 @@ func TestServeCloseWithPendingRetry(t *testing.T) {
 
 // TestServeQuarantineOnFailureStreak: enough consecutive failures pull
 // the lane from rotation; the replacement pool then serves normally and
-// Health reports the episode.
+// Stats reports the episode.
 func TestServeQuarantineOnFailureStreak(t *testing.T) {
 	s, err := New(Options{
 		Workers: 1,
 		Resilience: resilience.Options{
-			DisableBreaker: true, // keep admitting the failure storm
-			Quarantine:     resilience.QuarantineConfig{FailureStreak: 3, ProbeBackoff: time.Millisecond},
+			// A breaker that never trips keeps admitting the failure storm.
+			Breaker:    resilience.BreakerConfig{MinSamples: 1 << 30},
+			Quarantine: resilience.QuarantineConfig{FailureStreak: 3, ProbeBackoff: time.Millisecond},
 		},
 	})
 	if err != nil {
@@ -355,7 +326,7 @@ func TestServeQuarantineOnFailureStreak(t *testing.T) {
 	// The quarantine runs between requests; the next request lands on
 	// the replacement pool.
 	mustWaitFib(t, s, "")
-	h := s.Health().Lanes[0]
+	h := s.Stats().Lanes[0]
 	if h.Quarantines < 1 || h.Replacements < 1 || h.Probes < 1 {
 		t.Fatalf("lane health = %+v, want >=1 quarantine/replacement/probe", h)
 	}
@@ -405,7 +376,7 @@ func TestServeChaosResetFailQuarantine(t *testing.T) {
 			}
 			// The replacement pool serves the follow-ups.
 			mustWaitFib(t, s, "")
-			h := s.Health().Lanes[0]
+			h := s.Stats().Lanes[0]
 			if h.Quarantines < 1 || h.Replacements < 1 {
 				t.Fatalf("lane health = %+v, want a quarantine (replay seed=%#x)", h, inj.Seed())
 			}
@@ -437,14 +408,18 @@ func TestServeSubmitStormChaos(t *testing.T) {
 // TestServeNonAbortableReplacement covers the Caps.Serve-less
 // pool-replacement path on every registered backend without the abort
 // surface: a panicking request must not poison the lane for the
-// follow-ups, and backends with real pool state must have replaced it.
+// follow-ups, and backends with real pool state must have quarantined
+// the lane — replaced and probed its pool — and put it back in
+// rotation.
 func TestServeNonAbortableReplacement(t *testing.T) {
 	for _, sc := range sched.All() {
 		if sc.Caps().Serve {
 			continue
 		}
 		t.Run(sc.Name(), func(t *testing.T) {
-			s, err := New(Options{Backend: sc.Name(), Workers: 2})
+			// One lane: the follow-ups run on the lane the panic hit,
+			// after its quarantine.
+			s, err := New(Options{Backend: sc.Name(), Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -462,8 +437,8 @@ func TestServeNonAbortableReplacement(t *testing.T) {
 				mustWaitFib(t, s, "")
 			}
 			st := s.Stats()
-			if hasNative && st.Replacements < 1 {
-				t.Fatalf("replacements = %d, want >= 1 on a stateful non-Abortable backend", st.Replacements)
+			if ls := st.Lanes[0]; hasNative && (ls.Quarantines < 1 || ls.Replacements < 1 || ls.State != "serving") {
+				t.Fatalf("lane stats = %+v, want >= 1 quarantine and replacement, serving, on a stateful non-Abortable backend", ls)
 			}
 			if !hasNative && st.Replacements != 0 {
 				t.Fatalf("replacements = %d, want 0 on a stateless backend", st.Replacements)
@@ -507,7 +482,7 @@ func TestServeResetErrorReplacement(t *testing.T) {
 		t.Fatalf("victim err = %v, want context.Canceled", werr)
 	}
 	mustWaitFib(t, s, "")
-	if h := s.Health().Lanes[0]; h.Quarantines < 1 || h.Replacements < 1 {
+	if h := s.Stats().Lanes[0]; h.Quarantines < 1 || h.Replacements < 1 {
 		t.Fatalf("lane health = %+v, want quarantine after Reset error", h)
 	}
 }
@@ -518,77 +493,29 @@ type resetFailAbortable struct{ sched.Abortable }
 
 func (a resetFailAbortable) Reset() error { return fmt.Errorf("injected reset failure") }
 
-// TestServeHealthShape pins the Health snapshot's basic shape with the
-// defaults on and with everything disabled.
+// TestServeHealthShape pins the Stats snapshot's self-healing shape on
+// a fresh server with the defaults.
 func TestServeHealthShape(t *testing.T) {
 	s, err := New(Options{Workers: 2, Tenants: []Tenant{{Name: "a"}, {Name: "b"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := s.Health()
-	if len(h.Lanes) != 2 || len(h.Tenants) != 2 {
-		t.Fatalf("health shape: %d lanes, %d tenants, want 2/2", len(h.Lanes), len(h.Tenants))
-	}
-	for _, lh := range h.Lanes {
-		if lh.State != "serving" || lh.Poisoned {
-			t.Fatalf("fresh lane health = %+v", lh)
-		}
-	}
-	for _, th := range h.Tenants {
-		if th.Breaker == nil || th.Breaker.State != "closed" {
-			t.Fatalf("fresh tenant breaker = %+v, want closed", th.Breaker)
-		}
-		if th.RetryTokens <= 0 {
-			t.Fatalf("fresh retry tokens = %v, want > 0", th.RetryTokens)
-		}
-	}
-	s.Close()
-
-	s2, err := New(Options{Workers: 1, Resilience: resilience.Options{
-		DisableBreaker: true, DisableRetry: true, DisableDeadline: true, DisableQuarantine: true,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	th := s2.Health().Tenants[0]
-	if th.Breaker != nil || th.RetryTokens != -1 {
-		t.Fatalf("disabled tenant health = %+v, want nil breaker, tokens -1", th)
-	}
-}
-
-// TestServePerTenantResilienceOverride: a tenant-level breaker config
-// overrides the server default (tenant "frail" trips while "sturdy"
-// stays closed under the same storm).
-func TestServePerTenantResilienceOverride(t *testing.T) {
-	frail := &resilience.TenantConfig{
-		Breaker: &resilience.BreakerConfig{
-			Window: 10 * time.Second, MinSamples: 2, FailureRate: 0.5,
-			Cooldown: 10 * time.Second, HalfOpenProbes: 1,
-		},
-	}
-	s, err := New(Options{
-		Workers: 2,
-		Tenants: []Tenant{{Name: "frail", Resilience: frail}, {Name: "sturdy"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer s.Close()
-	for _, tenant := range []string{"frail", "sturdy"} {
-		for i := 0; i < 2; i++ {
-			tk, err := s.Submit(context.Background(), tenant, boomJob("override"))
-			if err != nil {
-				t.Fatalf("%s submit %d: %v", tenant, i, err)
-			}
-			tk.Wait()
+	st := s.Stats()
+	if len(st.Lanes) != 2 || len(st.Tenants) != 2 {
+		t.Fatalf("stats shape: %d lanes, %d tenants, want 2/2", len(st.Lanes), len(st.Tenants))
+	}
+	for _, ls := range st.Lanes {
+		if ls.State != "serving" || ls.Poisoned {
+			t.Fatalf("fresh lane stats = %+v", ls)
 		}
 	}
-	if _, err := s.Submit(context.Background(), "frail", boomJob("override")); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("frail submit: err = %v, want ErrCircuitOpen", err)
-	}
-	// The default MinSamples (20) keeps sturdy closed after 2 failures.
-	if _, err := s.Submit(context.Background(), "sturdy", Rec(fibw.Job(10, 1))); err != nil {
-		t.Fatalf("sturdy submit: %v", err)
+	for _, ts := range st.Tenants {
+		if ts.Breaker.State != "closed" {
+			t.Fatalf("fresh tenant breaker = %+v, want closed", ts.Breaker)
+		}
+		if ts.RetryTokens <= 0 {
+			t.Fatalf("fresh retry tokens = %v, want > 0", ts.RetryTokens)
+		}
 	}
 }

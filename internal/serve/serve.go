@@ -39,8 +39,8 @@
 //     request unwinds with the context's error, and the pool is Reset
 //     back into service for the next request. Backends without
 //     Caps.Serve still get per-request panic isolation — the lane
-//     replaces a poisoned pool — but cannot interrupt a running
-//     request before it completes.
+//     quarantines a pool a request errored on — but cannot interrupt
+//     a running request before it completes.
 //
 //   - Self-healing (DESIGN.md §17, internal/resilience). The per-
 //     request mechanisms above handle one bad request; the resilience
@@ -49,10 +49,12 @@
 //     aware admission sheds requests whose remaining deadline is below
 //     the learned service time for their class (ErrDeadlineUnmeetable),
 //     caller-marked retry-safe requests are retried under a budget with
-//     jittered backoff, and a lane whose Reset fails or whose failures
-//     streak is quarantined — pulled from rotation, hot-replaced, and
-//     probed back to health. All of it defaults on; Options.Resilience
-//     tunes or disables each subsystem, Server.Health observes it.
+//     jittered backoff, and a lane whose pool cannot be restored in
+//     place (a failed Reset, a failure streak, an errored run on a
+//     backend without Caps.Serve) is quarantined — pulled from
+//     rotation, hot-replaced, and probed back to health. All of it
+//     defaults on; Options.Resilience tunes it, Server.Stats observes
+//     it.
 package serve
 
 import (
@@ -153,9 +155,6 @@ type Tenant struct {
 	// MaxPending overrides Options.MaxPending for this tenant when
 	// positive.
 	MaxPending int
-	// Resilience overrides the server-wide resilience defaults for this
-	// tenant; nil fields inherit Options.Resilience.
-	Resilience *resilience.TenantConfig
 }
 
 // Options configures a Server. The zero value serves a single
@@ -192,7 +191,8 @@ type Options struct {
 	// Resilience configures the self-healing layer. The zero value
 	// enables every subsystem (breaker, deadline admission, retries,
 	// lane quarantine) with the defaults documented in
-	// internal/resilience; the Disable* switches turn subsystems off.
+	// internal/resilience; DisableDeadline turns deadline admission
+	// off.
 	Resilience resilience.Options
 	// Chaos, when non-nil, injects faults at the serving layer's
 	// control-plane points (lane-reset-fail, submit-storm, probe-fail)
@@ -202,10 +202,9 @@ type Options struct {
 
 // Ticket is a submitted request's handle.
 type Ticket struct {
-	// Retryable records whether the server may re-run this request on a
-	// failure-class outcome: the caller marked it retry-safe
-	// (SubmitOptions.Retryable) and server-side retries are enabled.
-	// Read-only after Submit.
+	// Retryable records the caller's retry-safe mark
+	// (SubmitOptions.Retryable): the server may re-run this request on
+	// a failure-class outcome. Read-only after Submit.
 	Retryable bool
 
 	job       Job
@@ -251,8 +250,8 @@ type tenant struct {
 	maxPending int
 	lanes      int
 
-	// Resilience state; any of these is nil when its subsystem is
-	// disabled server-wide.
+	// Resilience state; est is nil when deadline admission is
+	// disabled.
 	breaker *resilience.Breaker
 	est     *resilience.Estimator
 	retrier *resilience.Retrier
@@ -297,7 +296,6 @@ type Server struct {
 	byName  map[string]*tenant
 	lanes   []*lane
 
-	res  resilience.Options
 	qcfg resilience.QuarantineConfig
 	inj  *chaos.ServeInjector
 
@@ -344,7 +342,6 @@ func New(o Options) (*Server, error) {
 
 	s := &Server{opts: o, sch: sch, caps: sch.Caps(), byName: map[string]*tenant{}}
 	s.cond = sync.NewCond(&s.mu)
-	s.res = o.Resilience
 	s.qcfg = o.Resilience.Quarantine.Defaulted()
 	s.inj = o.Chaos
 	s.closeCh = make(chan struct{})
@@ -365,26 +362,10 @@ func New(o Options) (*Server, error) {
 		if tn.maxPending <= 0 {
 			tn.maxPending = o.MaxPending
 		}
-		bcfg, ecfg, rcfg := s.res.Breaker, s.res.Estimator, s.res.Retry
-		if tc.Resilience != nil {
-			if tc.Resilience.Breaker != nil {
-				bcfg = *tc.Resilience.Breaker
-			}
-			if tc.Resilience.Estimator != nil {
-				ecfg = *tc.Resilience.Estimator
-			}
-			if tc.Resilience.Retry != nil {
-				rcfg = *tc.Resilience.Retry
-			}
-		}
-		if !s.res.DisableBreaker {
-			tn.breaker = resilience.NewBreaker(bcfg, nil)
-		}
-		if !s.res.DisableDeadline {
-			tn.est = resilience.NewEstimator(ecfg)
-		}
-		if !s.res.DisableRetry {
-			tn.retrier = resilience.NewRetrier(rcfg, seed^(0x9e3779b97f4a7c15*uint64(ti+1)))
+		tn.breaker = resilience.NewBreaker(o.Resilience.Breaker, nil)
+		tn.retrier = resilience.NewRetrier(o.Resilience.Retry, seed^(0x9e3779b97f4a7c15*uint64(ti+1)))
+		if !o.Resilience.DisableDeadline {
+			tn.est = resilience.NewEstimator(o.Resilience.Estimator)
 		}
 		s.tenants = append(s.tenants, tn)
 		s.byName[tc.Name] = tn
@@ -523,19 +504,15 @@ func (s *Server) SubmitWith(ctx context.Context, tenantName string, job Job, so 
 	}
 	// The breaker decides last: every earlier check sheds without
 	// having consumed a half-open probe slot.
-	var probe bool
-	if tn.breaker != nil {
-		admit, p := tn.breaker.Allow()
-		if !admit {
-			s.mu.Unlock()
-			tn.rejected.Add(1)
-			tn.shedCircuit.Add(1)
-			return nil, fmt.Errorf("%w: tenant %q", ErrCircuitOpen, tenantName)
-		}
-		probe = p
+	admit, probe := tn.breaker.Allow()
+	if !admit {
+		s.mu.Unlock()
+		tn.rejected.Add(1)
+		tn.shedCircuit.Add(1)
+		return nil, fmt.Errorf("%w: tenant %q", ErrCircuitOpen, tenantName)
 	}
 	t := &Ticket{
-		Retryable: so.Retryable && tn.retrier != nil,
+		Retryable: so.Retryable,
 		job:       job, ctx: ctx, tn: tn,
 		submitted: time.Now(), class: class, probe: probe,
 		done: make(chan struct{}),
@@ -614,15 +591,13 @@ func (s *Server) Close() {
 		drained = append(drained, t)
 	}
 	for _, t := range drained {
-		t.tn.failed.Add(1)
-		t.err = ErrClosed
-		t.latency = time.Since(t.submitted)
-		close(t.done)
+		finishTicket(t, 0, ErrClosed)
 	}
 	s.wg.Wait()
 }
 
-// TenantStats is one tenant's counters in a Stats snapshot.
+// TenantStats is one tenant's counters and resilience state in a
+// Stats snapshot.
 type TenantStats struct {
 	Name      string
 	Weight    int
@@ -632,7 +607,10 @@ type TenantStats struct {
 	Completed int64 // finished with a result
 	Rejected  int64 // shed by admission control (the three Shed* causes)
 	Cancelled int64 // failed by their context (queued or mid-flight)
-	Failed    int64 // task panics, and tickets drained by Close
+	// Failed counts every other finished ticket: task panics, watchdog
+	// errors, retries shed by a queue that refilled during their
+	// backoff, and tickets drained by Close.
+	Failed int64
 
 	// Shed-cause breakout: Rejected == ShedOverload + ShedCircuitOpen +
 	// ShedDeadline.
@@ -642,27 +620,59 @@ type TenantStats struct {
 	// Retried counts server-side re-runs of retry-safe requests
 	// (attempts beyond each ticket's first).
 	Retried int64
+
+	// Breaker is the tenant's circuit breaker snapshot; RetryTokens is
+	// its remaining retry budget.
+	Breaker     resilience.BreakerHealth
+	RetryTokens float64
 }
 
-// Stats is a point-in-time server snapshot.
+// LaneStats is one lane's self-healing state in a Stats snapshot.
+type LaneStats struct {
+	// Lane is the global lane index; Tenant is its home team.
+	Lane   int
+	Tenant string
+	// State is "serving" or "quarantined" (out of rotation, replacing
+	// and probing its pool).
+	State string
+	// Poisoned reports a request-scoped poison currently on the lane's
+	// pool — normally transient, visible between an abort landing and
+	// the lane's Reset.
+	Poisoned bool
+	// FailureStreak is the lane's current run of consecutive
+	// failure-class requests (quarantine trigger, see
+	// resilience.QuarantineConfig).
+	FailureStreak int
+	// Quarantines counts quarantine entries; Replacements counts pool
+	// replacements (one per quarantine round: a failed probe replaces
+	// again); Probes/ProbeFailures count quarantine health probes.
+	Quarantines   int64
+	Replacements  int64
+	Probes        int64
+	ProbeFailures int64
+}
+
+// Stats is a point-in-time server snapshot: request counters and
+// breaker state per tenant, self-healing state per lane.
 type Stats struct {
 	Backend string
-	Lanes   int
-	// Quarantines / Replacements total the lanes' self-healing events:
-	// quarantine entries, and pool replacements (quarantine rounds plus
-	// the inline replacements of non-Abortable backends).
+	// Quarantines / Replacements total the lanes' quarantine entries
+	// and quarantine rounds (see LaneStats).
 	Quarantines  int64
 	Replacements int64
+	Lanes        []LaneStats
 	Tenants      []TenantStats
 }
 
-// Stats snapshots the per-tenant counters. Safe to call concurrently
-// with submissions and while lanes are serving.
+// Stats snapshots the server. Safe to call concurrently with
+// submissions and while lanes are serving.
 func (s *Server) Stats() Stats {
-	out := Stats{Backend: s.opts.Backend, Lanes: len(s.lanes)}
+	out := Stats{Backend: s.opts.Backend}
 	for _, l := range s.lanes {
-		out.Quarantines += l.quarantines.Load()
-		out.Replacements += l.replacements.Load()
+		ls := l.stats()
+		out.Quarantines += ls.Quarantines
+		out.Replacements += ls.Replacements
+		out.Lanes = append(out.Lanes, ls)
 	}
 	s.mu.Lock()
 	pending := make([]int, len(s.tenants))
@@ -685,6 +695,8 @@ func (s *Server) Stats() Stats {
 			ShedCircuitOpen: tn.shedCircuit.Load(),
 			ShedDeadline:    tn.shedDeadline.Load(),
 			Retried:         tn.retried.Load(),
+			Breaker:         tn.breaker.Health(),
+			RetryTokens:     tn.retrier.Tokens(),
 		})
 	}
 	return out

@@ -56,15 +56,15 @@ func waitTrue(t *testing.T, f *atomic.Bool, what string) {
 	}
 }
 
-// waitLanePoisoned polls Server.Health until one lane pool reports
+// waitLanePoisoned polls Server.Stats until one lane pool reports
 // poisoned — the observable moment a context cancellation's abort has
 // landed.
 func waitLanePoisoned(t *testing.T, s *Server) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		for _, lh := range s.Health().Lanes {
-			if lh.Poisoned {
+		for _, ls := range s.Stats().Lanes {
+			if ls.Poisoned {
 				return
 			}
 		}
@@ -208,8 +208,8 @@ func TestServeTenantLanes(t *testing.T) {
 	}
 	defer s.Close()
 	st := s.Stats()
-	if st.Lanes != 8 {
-		t.Fatalf("lanes = %d, want 8", st.Lanes)
+	if len(st.Lanes) != 8 {
+		t.Fatalf("lanes = %d, want 8", len(st.Lanes))
 	}
 	byName := map[string]TenantStats{}
 	for _, ts := range st.Tenants {
@@ -382,6 +382,58 @@ func TestServeCancelRevivesSingleLane(t *testing.T) {
 		if v, err := tk.Wait(); err != nil || v != want {
 			t.Fatalf("round %d: revived lane fib(16): v=%d err=%v, want %d, nil", round, v, err, want)
 		}
+	}
+}
+
+// TestServeStatsConcurrentWithReset reads Stats in a loop while a
+// one-lane server's requests are cancelled mid-flight, so the lane's
+// pool is poisoned and Reset under the reader. Under -race it pins that
+// the lane snapshot's poison read is synchronized with Reset.
+func TestServeStatsConcurrentWithReset(t *testing.T) {
+	s, err := New(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Stats()
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		reader.Wait()
+	}()
+
+	const rounds = 8
+	for round := 0; round < rounds; round++ {
+		var gate, started atomic.Bool
+		ctx, cancel := context.WithCancel(context.Background())
+		victim, err := s.Submit(ctx, "", gateJob(&gate, &started, 256))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTrue(t, &started, "victim dispatch")
+		cancel()
+		waitLanePoisoned(t, s)
+		gate.Store(true)
+		if _, werr := victim.Wait(); !errors.Is(werr, context.Canceled) {
+			t.Fatalf("round %d: err = %v, want context.Canceled", round, werr)
+		}
+	}
+	mustWaitFib(t, s, "")
+	st := s.Stats()
+	if ls := st.Lanes[0]; ls.Poisoned || ls.State != "serving" || st.Tenants[0].Cancelled != rounds {
+		t.Fatalf("after %d reset rounds: lane %+v, tenant %+v", rounds, ls, st.Tenants[0])
 	}
 }
 

@@ -144,8 +144,8 @@ func runQuarantineTorture(t *testing.T, backend string, seed uint64) {
 	quiet := time.Now().Add(10 * time.Second)
 	for {
 		serving := true
-		for _, lh := range s.Health().Lanes {
-			if lh.State != "serving" {
+		for _, ls := range s.Stats().Lanes {
+			if ls.State != "serving" {
 				serving = false
 				break
 			}
@@ -154,15 +154,12 @@ func runQuarantineTorture(t *testing.T, backend string, seed uint64) {
 			break
 		}
 		if time.Now().After(quiet) {
-			t.Fatalf("a lane never left quarantine: %+v (%s)", s.Health().Lanes, replay)
+			t.Fatalf("a lane never left quarantine: %+v (%s)", s.Stats().Lanes, replay)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	var quarantines, replacements int64
-	for _, lh := range s.Health().Lanes {
-		quarantines += lh.Quarantines
-		replacements += lh.Replacements
-	}
+	total := s.Stats()
+	quarantines, replacements := total.Quarantines, total.Replacements
 	if quarantines < 1 || replacements < quarantines {
 		t.Fatalf("quarantines=%d replacements=%d, want >=1 and replacements >= quarantines (%s)", quarantines, replacements, replay)
 	}

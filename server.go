@@ -21,9 +21,9 @@ import (
 // deadlines the learned service time says cannot be met, callers can
 // mark requests retry-safe (Server.SubmitWith) for budgeted in-server
 // retries, and a lane whose pool cannot be returned to service is
-// quarantined and hot-replaced. ResilienceOptions (on ServerOptions)
-// tunes or disables each mechanism; Server.Health exposes the state
-// machines.
+// quarantined, hot-replaced and probed. ResilienceOptions (on
+// ServerOptions) tunes each mechanism; Server.Stats exposes the state
+// machines next to the request counters.
 //
 // The underlying per-request abort machinery is also public on Pool
 // itself for programs that manage their own pools: Pool.Abort poisons
@@ -55,37 +55,28 @@ type (
 	// Job is a servable request, built with ServeRec or ServeRange.
 	Job = serve.Job
 
-	// ServerStats is a point-in-time server snapshot (Server.Stats).
+	// ServerStats is a point-in-time server snapshot (Server.Stats):
+	// request counters and breaker state per tenant, quarantine state
+	// and failure streaks per lane.
 	ServerStats = serve.Stats
 
-	// TenantStats is one tenant's counters in a ServerStats.
+	// TenantStats is one tenant's counters and resilience state in a
+	// ServerStats.
 	TenantStats = serve.TenantStats
 
-	// ServerHealth is a point-in-time self-healing snapshot
-	// (Server.Health): breaker positions, lane quarantine state,
-	// failure streaks.
-	ServerHealth = serve.Health
+	// LaneStats is one lane's self-healing state in a ServerStats.
+	LaneStats = serve.LaneStats
 
-	// LaneHealth is one lane's self-healing state in a ServerHealth.
-	LaneHealth = serve.LaneHealth
-
-	// TenantHealth is one tenant's resilience state in a ServerHealth.
-	TenantHealth = serve.TenantHealth
-
-	// ResilienceOptions tunes (or disables) the server's self-healing
-	// mechanisms (ServerOptions.Resilience); the zero value enables
-	// them all with the documented defaults.
+	// ResilienceOptions tunes the server's self-healing mechanisms
+	// (ServerOptions.Resilience); the zero value enables them all with
+	// the documented defaults.
 	ResilienceOptions = resilience.Options
-
-	// TenantResilience overrides the server-wide resilience defaults
-	// for one tenant (Tenant.Resilience); nil fields inherit.
-	TenantResilience = resilience.TenantConfig
 
 	// BreakerConfig tunes a tenant's circuit breaker: sliding
 	// failure-rate window, cooldown, half-open probe count.
 	BreakerConfig = resilience.BreakerConfig
 
-	// BreakerHealth is a breaker's snapshot inside a TenantHealth.
+	// BreakerHealth is a breaker's snapshot inside a TenantStats.
 	BreakerHealth = resilience.BreakerHealth
 
 	// EstimatorConfig tunes deadline-aware admission's per-(tenant,
