@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-fast lint-perfbudget registry-bench perfgate generate ci all trace-smoke fuzz-smoke chaos stealsweep stealsweep-smoke serve-smoke serve-soak perfbench-test
+.PHONY: build test race lint lint-fast lint-perfbudget registry-bench perfgate generate ci all trace-smoke fuzz-smoke chaos stealsweep stealsweep-smoke serve-smoke serve-soak perfbench-test bench-smoke
 
 all: build test lint
 
@@ -169,10 +169,17 @@ chaos:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
+# One iteration of every benchmark in the packages that carry result
+# checks (b.Fatal on a wrong answer), which the tier-1 suite never
+# runs (~40 s, most of it the root package's fib ladders).
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core/ ./internal/gen/ports/ ./internal/serve/
+
 # What .github/workflows/ci.yml runs: build, vet, woolvet, the tier-1
 # suite, a short race pass over the scheduler protocols, the registry
 # conformance suite and the serving layer, the perfbench module's vet
-# and tests, and the trace, steal-sweep and serve smokes.
+# and tests, the benchmark smoke, and the trace, steal-sweep and serve
+# smokes.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -183,6 +190,7 @@ ci:
 		./internal/ompstyle/... ./internal/sim/... \
 		./internal/sched/... ./internal/serve/... ./internal/workloads/
 	$(MAKE) perfbench-test
+	$(MAKE) bench-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) stealsweep-smoke
 	$(MAKE) serve-smoke

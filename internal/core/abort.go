@@ -44,27 +44,22 @@ import (
 // goroutine, concurrently with Run; the serving layer calls it from a
 // context-cancellation callback. It returns true when this call did
 // the poisoning, false when the pool was already poisoned (by a task
-// panic or an earlier Abort — first cause wins, matching recordPanic)
-// or already closed.
+// panic or an earlier Abort — first cause wins, see Pool.poison) or
+// already closed.
 //
-// Abort does not wait for the Run to unwind: the abort token is
-// observed at the next public join, stolen-task start, or (amortized)
-// generic join of each worker. Workers never initiate new steals once
-// poisoned, and a task already claimed by a steal still reaches DONE
-// (its body is skipped, see runStolen), so the unwind cannot strand a
-// joiner.
+// Abort does not wait for the Run to unwind. Poisoning trips every
+// worker's wire, so each worker observes the abort at its next spawn
+// (publishMore re-raises it; the generated private fast path declines
+// while the wire is set), at its next stolen-task start, or within
+// abortCheckPeriod generic joins (pollAbort). Workers never initiate
+// new steals once poisoned, and a task already claimed by a steal
+// still reaches DONE (its body is skipped, see runStolen), so the
+// unwind cannot strand a joiner.
 func (p *Pool) Abort(reason error) bool {
 	if p.shutdown.Load() {
 		return false
 	}
-	p.poisonMu.Lock()
-	defer p.poisonMu.Unlock()
-	if p.panicked.Load() {
-		return false
-	}
-	p.panicVal = &poolerr.AbortError{Reason: reason}
-	p.panicked.Store(true)
-	return true
+	return p.poison(&poolerr.AbortError{Reason: reason})
 }
 
 // Poisoned reports whether the pool is poisoned, and by what: the
@@ -156,8 +151,9 @@ func (p *Pool) Reset() error {
 	// before we took poisonMu (and wakes when we close it) or enters
 	// poisonPark after we release it, re-checks panicked, and declines
 	// to block. Holding poisonMu here also serializes against a
-	// concurrent Abort or recordPanic, which would otherwise interleave
-	// its first-cause write with this clear.
+	// concurrent poison (Abort, a task panic, the watchdog), which
+	// would otherwise interleave its first-cause write and its wire
+	// trips with this clear.
 	p.poisonMu.Lock()
 	p.panicVal = nil
 	p.panicked.Store(false)
@@ -203,11 +199,12 @@ const abortCheckPeriod = 32
 // set, re-raises the poisoning value so the request's task tree
 // unwinds (Run's recover then re-raises it to the caller; a thief's
 // runStolen recover contains it). The amortization keeps the check
-// out of the perf-gated join ladder's measured cost; the fast
-// generated private path (fastapi.go) deliberately has no check at
-// all — serving layers that want prompt cancellation run their lanes
-// with all-public descriptors (Options.PrivateTasks=false), where
-// every join routes through here.
+// out of the perf-gated join ladder's measured cost. It covers
+// stretches of joins with no spawns in between; everywhere else the
+// trip wire delivers the abort first (Pool.poison, publishMore). The
+// generated private join (fastapi.go) has no check at all, so a run of
+// private fast-path joins with no spawn observes the abort only at the
+// next spawn, generic join or Run's exit.
 func (w *Worker) pollAbort() {
 	w.abortTick--
 	if w.abortTick > 0 {
@@ -216,7 +213,7 @@ func (w *Worker) pollAbort() {
 	w.abortTick = abortCheckPeriod
 	if w.pool.panicked.Load() {
 		// Re-raise the original poisoning value (not a copy): Run's
-		// recover path calls recordPanic, which is a no-op for a
+		// recover path calls poison, which is a no-op for a
 		// poisoned pool, and re-panics the same value, preserving the
 		// first-cause contract of DESIGN.md §11.
 		panic(w.pool.panicVal)

@@ -67,6 +67,99 @@ func TestAbortUnwindsRun(t *testing.T) {
 	}
 }
 
+// TestPoisonTripsEveryWire pins the abort's delivery route to the
+// private fast path: poisoning stores morePublic on every worker (the
+// generated private spawn declines while it is set, so the next spawn
+// reaches publishMore and re-raises), only the first cause trips, and
+// Reset clears the wires again.
+func TestPoisonTripsEveryWire(t *testing.T) {
+	p := NewPool(Options{Workers: 3, PrivateTasks: true})
+	defer p.Close()
+	if !p.Abort(errors.New("first")) {
+		t.Fatal("Abort on a healthy pool returned false")
+	}
+	for _, w := range p.workers {
+		if !w.morePublic.Load() {
+			t.Errorf("worker %d: wire not tripped by Abort", w.idx)
+		}
+		w.morePublic.Store(false)
+	}
+	if p.Abort(errors.New("second")) {
+		t.Fatal("second Abort on a poisoned pool returned true")
+	}
+	for _, w := range p.workers {
+		if w.morePublic.Load() {
+			t.Errorf("worker %d: wire tripped by an Abort that lost to the first cause", w.idx)
+		}
+	}
+	if err := p.Reset(); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	for _, w := range p.workers {
+		if w.morePublic.Load() {
+			t.Errorf("worker %d: wire still tripped after Reset", w.idx)
+		}
+	}
+}
+
+// TestStolenTaskPanicKeepsWireTripped covers a leapfrogging join whose
+// stolen task meets the abort at a spawn: publishMore clears the wire
+// and re-raises, and runStolen contains the panic. The worker must
+// leave with its wire tripped again, so the join's own tree re-raises
+// at its next spawn instead of running on along the private fast path.
+func TestStolenTaskPanicKeepsWireTripped(t *testing.T) {
+	p := NewPool(Options{Workers: 1, PrivateTasks: true})
+	defer p.Close()
+	reason := errors.New("cancelled mid-leapfrog")
+	leaf := Define1("leaf", func(w *Worker, x int64) int64 { return x })
+	r := mustPanic(t, "aborted Run", func() {
+		p.Run(func(w *Worker) int64 {
+			stolen := &Task{fn: func(w *Worker, _ *Task) {
+				p.Abort(reason)
+				leaf.Spawn(w, 1) // publishMore re-raises here
+				t.Error("spawn after Abort did not re-raise")
+			}}
+			w.runStolen(stolen, true)
+			if !w.morePublic.Load() {
+				t.Error("wire clear after runStolen contained the abort")
+			}
+			leaf.Spawn(w, 2)
+			t.Error("owner spawn after the contained abort did not re-raise")
+			return leaf.Join(w)
+		})
+	})
+	if ae, ok := r.(*poolerr.AbortError); !ok || !errors.Is(ae, reason) {
+		t.Fatalf("Run raised %T (%v), want the *poolerr.AbortError", r, r)
+	}
+	if err := p.Reset(); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+}
+
+// TestRunRaisesPoisonOverUnjoined: a poisoned tree may return with
+// descriptors left on worker 0's stack (a stolen task that the poison
+// unwound on a leapfrogging join). Run must raise the first cause, not
+// the unjoined-tasks diagnostic.
+func TestRunRaisesPoisonOverUnjoined(t *testing.T) {
+	p := NewPool(Options{Workers: 1})
+	defer p.Close()
+	reason := errors.New("cancelled")
+	leaf := Define1("leaf", func(w *Worker, x int64) int64 { return x })
+	r := mustPanic(t, "aborted Run", func() {
+		p.Run(func(w *Worker) int64 {
+			leaf.Spawn(w, 1)
+			p.Abort(reason)
+			return 0 // the spawned leaf is never joined
+		})
+	})
+	if ae, ok := r.(*poolerr.AbortError); !ok || !errors.Is(ae, reason) {
+		t.Fatalf("Run raised %T (%v), want the *poolerr.AbortError", r, r)
+	}
+	if err := p.Reset(); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+}
+
 // TestResetRevivesPanickedPool: a genuine task panic poisons the pool;
 // Reset must discard the abandoned tree and revive it, repeatedly.
 func TestResetRevivesPanickedPool(t *testing.T) {

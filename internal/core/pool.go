@@ -400,7 +400,7 @@ func (p *Pool) Run(root func(*Worker) int64) int64 {
 	// record it so the pool is poisoned before the panic propagates.
 	defer func() {
 		if r := recover(); r != nil {
-			p.recordPanic(r)
+			p.poison(r)
 			panic(r)
 		}
 	}()
@@ -417,24 +417,41 @@ func (p *Pool) Run(root func(*Worker) int64) int64 {
 	} else {
 		res = root(w)
 	}
-	if w.top != int(w.bot.Load()) || len(w.ovf) != 0 {
-		panic(fmt.Sprintf("core: root returned with %d unjoined tasks on worker 0 (%d overflow-inlined)", w.Depth(), len(w.ovf)))
-	}
+	// The poison comes first: a poisoned tree may leave descriptors
+	// behind (a stolen task that a leapfrogging join ran and the
+	// poison unwound), and the first cause, not that count, is what
+	// the caller must see.
 	if p.panicked.Load() {
 		panic(p.panicVal)
+	}
+	if w.top != int(w.bot.Load()) || len(w.ovf) != 0 {
+		panic(fmt.Sprintf("core: root returned with %d unjoined tasks on worker 0 (%d overflow-inlined)", w.Depth(), len(w.ovf)))
 	}
 	return res
 }
 
-// recordPanic stores the first panic raised by a task, poisoning the
-// pool; Run re-raises it (and refuses subsequent calls, see Run).
-func (p *Pool) recordPanic(r any) {
+// poison is the one poisoning routine: a task panic (Run's and
+// runStolen's recovers), a tripped watchdog and Abort all come through
+// here. Under poisonMu it records cause as the first poisoning cause
+// (first cause wins) and then trips every worker's wire: morePublic
+// sends the owner's next spawn — the generated private fast path
+// declines while the wire is set — into publishMore, which re-raises
+// the poison. So a request running entirely on private tasks still
+// unwinds at its next spawn, and the fast path pays nothing for it.
+// Run re-raises the cause and refuses later calls until Reset. It
+// reports whether this call did the poisoning.
+func (p *Pool) poison(cause any) bool {
 	p.poisonMu.Lock()
-	if !p.panicked.Load() {
-		p.panicVal = r
-		p.panicked.Store(true)
+	defer p.poisonMu.Unlock()
+	if p.panicked.Load() {
+		return false
 	}
-	p.poisonMu.Unlock()
+	p.panicVal = cause
+	p.panicked.Store(true)
+	for _, w := range p.workers {
+		w.morePublic.Store(true)
+	}
+	return true
 }
 
 // Close stops the idle workers and waits for them to exit. The pool

@@ -36,12 +36,13 @@ func (e *WatchdogError) ErrorClass() poolerr.Class { return poolerr.ClassRetryab
 
 // watchdogPoll panics with the watchdog's verdict if it has tripped.
 // Blocked wait loops (joinSlow, leapfrog) call this periodically; the
-// panic rides the existing abort machinery (recordPanic poisons the
-// pool, Run re-raises), so a stuck Run fails instead of hanging. A
-// no-op (one nil pointer load) when the watchdog is disarmed or quiet.
+// panic rides the existing abort machinery (Pool.poison records it
+// and trips every worker's wire, Run re-raises), so a stuck Run fails
+// instead of hanging. A no-op (one nil pointer load) when the watchdog
+// is disarmed or quiet.
 func (p *Pool) watchdogPoll() {
 	if e := p.wdErr.Load(); e != nil {
-		p.recordPanic(e)
+		p.poison(e)
 		panic(e)
 	}
 }

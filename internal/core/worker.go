@@ -388,17 +388,29 @@ func (w *Worker) noteInlinedPublic() {
 }
 
 // publishMore answers a trip-wire notification: convert up to
-// PublishAmount private descriptors to public and raise the limit.
-// Owner only. The atomic store of publicLimit is the release making the
-// state stores visible to thieves that load the limit; parked workers
-// get a targeted wake since fresh public work just appeared.
+// PublishAmount private descriptors to public and raise the limit. On
+// a poisoned pool it re-raises the poison instead (Pool.poison trips
+// every worker's wire). Owner only. The atomic store of publicLimit
+// is the release making the state stores visible to thieves that load
+// the limit; parked workers get a targeted wake since fresh public
+// work just appeared.
 func (w *Worker) publishMore() {
+	w.morePublic.Store(false)
 	if w.chs != nil {
 		// Starve the public region: thieves keep probing while the
-		// owner dawdles over the trip-wire answer.
+		// owner dawdles over the trip-wire answer. The delay also
+		// widens the window between the clear above and the poison
+		// check below.
 		w.chs.Point(chaos.PointTripwirePublish)
 	}
-	w.morePublic.Store(false)
+	// Pool.poison trips the wire too: re-raise the poison before
+	// publishing anything. Clear first, check second — this order is
+	// required. Checking first would lose an Abort landing between
+	// the check and the clear: the clear wipes its trip, and the
+	// private fast path would not look at the wire again.
+	if w.pool.panicked.Load() {
+		panic(w.pool.panicVal)
+	}
 	w.inlineRun = 0
 	pl := w.pubShadow
 	newPL := pl + int64(w.pool.opts.PublishAmount)
@@ -684,10 +696,15 @@ func (w *Worker) runStolen(t *Task, leap bool) {
 		}
 		w.execing.Add(-1)
 		if r := recover(); r != nil {
-			w.pool.recordPanic(r)
+			w.pool.poison(r)
 			// DONE is stored by trySteal after we return; recover so
 			// it executes and the victim unblocks, then the panic is
-			// re-raised on the Run goroutine.
+			// re-raised on the Run goroutine. The panic may have been
+			// publishMore re-raising the poison, which cleared this
+			// worker's wire: trip it again, so a leapfrogging join
+			// that resumes its own tree re-raises at its next spawn
+			// instead of running on along the private fast path.
+			w.morePublic.Store(true)
 		}
 	}()
 	// Abort check: once the pool is poisoned the result of this task is

@@ -9,14 +9,15 @@ import (
 )
 
 // BenchmarkServeRoundTrip times one small request through the serving
-// layer — Submit+Wait of a fib(8) job on a one-lane wool server —
-// and the same job run directly on a pool of the lane's shape, so the
-// gap between the two is what the serving layer adds per request.
+// layer — Submit+Wait of a fib(8) job on a one-lane server with
+// default options — and the same job run directly on a pool of the
+// lane's shape (the default backend, one worker, private tasks), so
+// the gap between the two is what the serving layer adds per request.
 func BenchmarkServeRoundTrip(b *testing.B) {
 	job := fibw.Job(8, 1)
 	want := fibw.Serial(8)
 	b.Run("SubmitWait", func(b *testing.B) {
-		s, err := New(Options{Backend: "wool", Workers: 1})
+		s, err := New(Options{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -35,11 +36,11 @@ func BenchmarkServeRoundTrip(b *testing.B) {
 		}
 	})
 	b.Run("RunRec", func(b *testing.B) {
-		sch, ok := sched.Lookup("wool")
+		sch, ok := sched.Lookup(defaultBackend)
 		if !ok {
-			b.Fatal("wool backend not registered")
+			b.Fatalf("%s backend not registered", defaultBackend)
 		}
-		p := sch.NewPool(sched.Options{Workers: 1})
+		p := sch.NewPool(sched.Options{Workers: 1, PrivateTasks: true})
 		defer p.Close()
 		b.ReportAllocs()
 		for b.Loop() {

@@ -158,10 +158,13 @@ type Tenant struct {
 }
 
 // Options configures a Server. The zero value serves a single
-// anonymous tenant on the wool backend with GOMAXPROCS workers.
+// anonymous tenant on the woolgen backend with GOMAXPROCS workers.
 type Options struct {
 	// Backend is the registry scheduler to build lanes from; default
-	// "wool".
+	// "woolgen": the paper's direct task stack (the same core.Pool and
+	// Caps.Serve abort as "wool") behind the generated spawn/join
+	// ports, so a lane's private spawns and joins run the paper's fast
+	// path.
 	Backend string
 	// Workers is the total worker budget across all lanes; default
 	// GOMAXPROCS.
@@ -178,11 +181,11 @@ type Options struct {
 	// tenant ("") of weight 1.
 	Tenants []Tenant
 	// Pool is the base options for every lane pool. Workers is
-	// overridden with LaneWidth. Note that PrivateTasks trades abort
-	// latency for join cost: the request-scoped abort token is checked
-	// on the generic join path, which private joins on the generated
-	// fast path bypass — the default all-public lanes observe a
-	// cancellation within a few dozen joins.
+	// overridden with LaneWidth, and PrivateTasks with the backend's
+	// Caps.PrivateTasks: lanes run private tasks wherever the backend
+	// has them. A cancellation still lands promptly, because the
+	// request-scoped abort trips every worker's trip wire and the next
+	// spawn re-raises it (DESIGN.md §16.2).
 	Pool sched.Options
 	// ConfigurePool, when non-nil, edits each lane's pool options
 	// before construction (lane is the global lane index). Used by the
@@ -314,13 +317,16 @@ type Server struct {
 	wg          sync.WaitGroup
 }
 
+// defaultBackend is Options.Backend's default.
+const defaultBackend = "woolgen"
+
 // New builds and starts a server: lanes are constructed (validating
 // the lane pool options against the backend's capabilities, see
 // sched.CheckOptions) and their drain loops started. The caller must
 // Close it.
 func New(o Options) (*Server, error) {
 	if o.Backend == "" {
-		o.Backend = "wool"
+		o.Backend = defaultBackend
 	}
 	sch, ok := sched.Lookup(o.Backend)
 	if !ok {
@@ -378,6 +384,7 @@ func New(o Options) (*Server, error) {
 		for k := 0; k < laneCounts[ti]; k++ {
 			po := o.Pool
 			po.Workers = o.LaneWidth
+			po.PrivateTasks = s.caps.PrivateTasks
 			if o.ConfigurePool != nil {
 				o.ConfigurePool(laneIdx, &po)
 			}

@@ -350,6 +350,79 @@ func TestServeCancelMidFlight(t *testing.T) {
 	}
 }
 
+// abortCheckPeriod mirrors internal/core's countdown of the same name:
+// the most generic joins a worker performs between two loads of the
+// poison flag. The abort-latency bound is stated in its units.
+const abortCheckPeriod = 32
+
+// TestServeCancelLatency: a default server's lanes run private tasks
+// on the generated ports, and a cancellation still lands within
+// abortCheckPeriod leaves per lane worker. A leaf of a fib(22) request
+// cancels its own context mid-tree and waits until the lane's pool
+// reports the poison (Poisoned takes the poison lock, so the wires are
+// tripped by then); every leaf started after that is late.
+func TestServeCancelLatency(t *testing.T) {
+	s, err := New(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if b := s.Stats().Backend; b != "woolgen" {
+		t.Fatalf("default backend = %q, want woolgen", b)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const n = 22
+	var started, late atomic.Int64
+	var aborted atomic.Bool
+	mid := fibw.Serial(n+1) / 2 // fib(n) has fib(n+1) leaves
+	job := fibw.Job(n, 1)
+	job.Leaf = func(k int64) (int64, bool) {
+		if k >= 2 {
+			return 0, false
+		}
+		if aborted.Load() {
+			late.Add(1)
+		}
+		if started.Add(1) == mid {
+			cancel()
+			for !s.Stats().Lanes[0].Poisoned {
+				runtime.Gosched()
+			}
+			aborted.Store(true)
+		}
+		return k, true
+	}
+	tk, err := s.Submit(ctx, "", Rec(job))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, werr := tk.Wait(); !errors.Is(werr, context.Canceled) {
+		t.Fatalf("cancelled request: v=%d err=%v, want context.Canceled", v, werr)
+	}
+	if l, bound := late.Load(), int64(abortCheckPeriod); l > bound {
+		t.Errorf("%d leaves started after the abort landed (%d started in all), bound %d", l, started.Load(), bound)
+	}
+
+	want := fibw.Serial(16)
+	tk, err = s.Submit(context.Background(), "", Rec(fibw.Job(16, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := tk.Wait(); err != nil || v != want {
+		t.Fatalf("revived lane fib(16): v=%d err=%v, want %d, nil", v, err, want)
+	}
+	for _, l := range s.lanes {
+		l.mu.Lock()
+		st := l.pool.Stats()
+		l.mu.Unlock()
+		if st.Extra["joins_inlined_private"] == 0 {
+			t.Errorf("lane %d: no private joins (%+v): lanes are not running private tasks", l.idx, st)
+		}
+	}
+}
+
 // TestServeCancelRevivesSingleLane pins the Reset path: with exactly
 // one lane there is nowhere to hide a broken pool — the cancelled
 // request's own pool must serve the follow-ups.

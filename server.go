@@ -36,8 +36,9 @@ type (
 	Server = serve.Server
 
 	// ServerOptions configures NewServer; the zero value serves a
-	// single anonymous tenant on the wool backend with GOMAXPROCS
-	// workers.
+	// single anonymous tenant on the woolgen backend (the paper's
+	// direct task stack behind its generated spawn/join, lanes running
+	// private tasks) with GOMAXPROCS workers.
 	ServerOptions = serve.Options
 
 	// Tenant declares one named request class with a weighted worker
